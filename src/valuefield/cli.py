@@ -3,12 +3,16 @@
 Configuration files are line-oriented ``key = value`` pairs under
 ``[section]`` headers (INI syntax). The ``[scenario]`` section selects the
 experiment by ``name``; a section of the same name holds its parameters.
+Parameter names, defaults and ranges come only from the tables in
+``scenarios.py``. Sections other than ``[scenario]`` (``name``), ``[output]``
+(``dir``) and the scenario's own, unknown keys and non-finite values are rejected.
 ``--set section.key=value`` flags override config keys, and the output
 directory resolves in order: ``--out`` flag, ``VALUEFIELD_OUT`` environment
 variable, ``[output] dir`` key, then ``./valuefield_out``.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-configuration or usage.
+configuration, usage or I/O error, 3 the run raised an error (reported as one
+``run error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -19,115 +23,38 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigInvalid
-from .scenarios import SCENARIOS, run_scenario
+from .errors import ConfigInvalid, ValueFieldError
+from .scenarios import PARAMS, SCENARIOS, parse_params, run_scenario
 
-_NUMERIC_KEYS = {
-    "arithmetic-check": {"seed": int, "cases": int},
-    "field-calculus": {"k": float, "y0": float, "sigma": float, "n": int},
-    "geodesic": {"c": float, "steps": int, "beta": float, "alpha_const": float,
-                 "span_tau": float, "mass": float},
-    "schrodinger": {"n": int, "steps": int, "dt": float, "a0": float},
-    "cosmology": {"h0_kms_mpc": float, "omega_m": float, "omega_r": float,
-                  "omega_v": float, "t_now_gyr": float, "s_rm_kyr": float,
-                  "s_de_gyr": float},
-    "bound-check": {"h0_kms_mpc": float, "window_s": float, "eps": float},
-}
-
-DEFAULT_CONFIGS = {
-    "arithmetic-check": {"seed": "0", "cases": "1000"},
-    "field-calculus": {"k": "0.7", "y0": "0.3", "sigma": "0.5", "n": "16384"},
-    "geodesic": {"c": "299792458.0", "steps": "10000", "beta": "0.3",
-                 "alpha_const": "0.4", "span_tau": "1e-4", "mass": "1.0"},
-    "schrodinger": {"n": "1024", "steps": "1000", "dt": "1e-3", "a0": "0.25"},
-    "cosmology": {"h0_kms_mpc": "70", "omega_m": "0.3", "omega_r": "0",
-                  "omega_v": "0.7", "t_now_gyr": "13.8", "s_rm_kyr": "50",
-                  "s_de_gyr": "10"},
-    "bound-check": {"h0_kms_mpc": "70", "window_s": "499.0", "eps": "1e-10"},
-}
+DEFAULT_CONFIGS = {s: {k: p.default for k, p in t.items()} for s, t in PARAMS.items()}
 
 
 def load_config(path) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser()
+    # values are literal text, and [DEFAULT] is an ordinary (rejected) section
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot parse {path}: {exc}") from exc
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def validate_config(cfg: dict[str, dict[str, str]]) -> list[str]:
     """Schema and range diagnostics; an empty list means the config is valid."""
-    diags: list[str] = []
     scenario = cfg.get("scenario", {}).get("name")
     if scenario is None:
-        diags.append("missing key scenario.name")
-        return diags
+        return ["missing key scenario.name"]
     if scenario not in SCENARIOS:
-        diags.append(
-            f"scenario.name: unknown scenario {scenario!r}; "
-            f"choose from {sorted(SCENARIOS)}"
-        )
-        return diags
+        return [f"scenario.name: unknown scenario {scenario!r}; "
+                f"choose from {sorted(SCENARIOS)}"]
 
-    section = cfg.get(scenario, {})
-    types = _NUMERIC_KEYS[scenario]
-    values: dict[str, float] = {}
-    for key, raw in section.items():
-        if key not in types:
-            diags.append(f"{scenario}.{key}: unknown key")
-            continue
-        try:
-            values[key] = types[key](raw)
-        except ValueError:
-            diags.append(f"{scenario}.{key}: cannot parse {raw!r} as {types[key].__name__}")
-
-    def check(key, ok, message):
-        if key in values and not ok(values[key]):
-            diags.append(f"{scenario}.{key}: {message}")
-
-    check("h0_kms_mpc", lambda v: v > 0, "H0 must be positive")
-    check("cases", lambda v: v > 0, "must be positive")
-    check("steps", lambda v: v > 0, "must be positive")
-    check("n", lambda v: v > 0 and v % 2 == 0, "must be a positive even count")
-    check("dt", lambda v: v > 0, "must be positive")
-    check("sigma", lambda v: v > 0, "must be positive")
-    check("span_tau", lambda v: v > 0, "must be positive")
-    check("mass", lambda v: v > 0, "must be positive")
-    check("beta", lambda v: 0 <= v < 1, "must lie in [0, 1)")
-    check("eps", lambda v: v > 0, "must be positive")
-    check("window_s", lambda v: v > 0, "must be positive")
-    check("t_now_gyr", lambda v: v > 0, "must be positive")
-
-    if scenario == "cosmology":
-        for key in ("omega_m", "omega_r", "omega_v"):
-            check(key, lambda v: v >= 0, "must be nonnegative")
-        omegas = [values.get(k) for k in ("omega_m", "omega_r", "omega_v")]
-        if all(v is not None for v in omegas):
-            total = sum(omegas)
-            if abs(total - 1.0) > 1e-12:
-                diags.append(
-                    f"cosmology.omega_m+omega_r+omega_v: flatness violated, "
-                    f"sum = {total!r} (needs 1)"
-                )
-        s_rm = values.get("s_rm_kyr")
-        s_de = values.get("s_de_gyr")
-        t_now = values.get("t_now_gyr")
-        if s_rm is not None and s_de is not None and s_rm * 1e3 >= s_de * 1e9:
-            diags.append("cosmology.s_rm_kyr: must precede s_de_gyr")
-        if s_de is not None and t_now is not None and s_de >= t_now:
-            diags.append("cosmology.s_de_gyr: must precede t_now_gyr")
-    return diags
-
-
-def _merged_scenario_config(cfg: dict[str, dict[str, str]]) -> tuple[str, dict[str, str]]:
-    scenario = cfg["scenario"]["name"]
-    merged = dict(DEFAULT_CONFIGS[scenario])
-    merged.update(cfg.get(scenario, {}))
-    return scenario, merged
+    known = {"scenario": {"name"}, "output": {"dir"}}
+    diags = [f"{section}: unknown section; expected scenario, output or {scenario}"
+             for section in cfg if section not in (*known, scenario)]
+    diags += [f"{section}.{key}: unknown key" for section, keys in known.items()
+              for key in cfg.get(section, {}) if key not in keys]
+    return diags + parse_params(scenario, cfg.get(scenario, {}))[1]
 
 
 def _resolve_out_dir(args, cfg) -> Path:
@@ -148,16 +75,6 @@ def _apply_overrides(cfg, overrides) -> None:
         cfg.setdefault(section.strip(), {})[key.strip()] = value.strip()
 
 
-def _print_report(report) -> None:
-    print(f"scenario: {report.scenario}  wall_time: {report.wall_time_s:.3f} s")
-    for c in report.checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"  [{status}] {c.name}: measured {c.measured!r} vs expected "
-              f"{c.expected!r} (tolerance {c.tolerance!r})")
-    for path in report.artifacts:
-        print(f"  artifact: {path}")
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args.set)
@@ -166,9 +83,15 @@ def cmd_run(args) -> int:
         for d in diags:
             print(f"config error: {d}", file=sys.stderr)
         return 2
-    scenario, merged = _merged_scenario_config(cfg)
-    report = run_scenario(scenario, merged, _resolve_out_dir(args, cfg))
-    _print_report(report)
+    scenario = cfg["scenario"]["name"]
+    report = run_scenario(scenario, cfg.get(scenario, {}), _resolve_out_dir(args, cfg))
+    print(f"scenario: {report.scenario}  wall_time: {report.wall_time_s:.3f} s")
+    for c in report.checks:
+        status = "PASS" if c.passed else "FAIL"
+        print(f"  [{status}] {c.name}: measured {c.measured!r} vs expected "
+              f"{c.expected!r} (tolerance {c.tolerance!r})")
+    for path in report.artifacts:
+        print(f"  artifact: {path}")
     return 0 if report.all_passed else 1
 
 
@@ -182,26 +105,17 @@ def cmd_validate(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.scenario not in SCENARIOS:
-        print(f"unknown scenario {args.scenario!r}; choose from {sorted(SCENARIOS)}",
-              file=sys.stderr)
-        return 2
-    cfg = {"scenario": {"name": args.scenario},
-           args.scenario: dict(DEFAULT_CONFIGS[args.scenario])}
-    out_dir = _resolve_out_dir(args, cfg)
+    """Write the scenario's default config next to its outputs, then run it."""
+    out_dir = _resolve_out_dir(args, {})
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / f"{args.scenario}.cfg"
+    parser = configparser.ConfigParser()
+    parser.read_dict({"scenario": {"name": args.scenario},
+                      args.scenario: DEFAULT_CONFIGS[args.scenario]})
     with open(config_path, "w") as fh:
-        for section, entries in cfg.items():
-            fh.write(f"[{section}]\n")
-            for key, value in entries.items():
-                fh.write(f"{key} = {value}\n")
-            fh.write("\n")
-    scenario, merged = _merged_scenario_config(cfg)
-    report = run_scenario(scenario, merged, out_dir)
+        parser.write(fh)
     print(f"wrote config: {config_path}")
-    _print_report(report)
-    return 0 if report.all_passed else 1
+    return cmd_run(argparse.Namespace(config=config_path, set=None, out=out_dir))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,6 +154,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except (ValueFieldError, ValueError, ArithmeticError) as exc:
+        print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -182,7 +182,7 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
             if not np.all(np.isfinite(ynew)):
                 raise StepUnstable("non-finite state during geodesic step")
             drift = abs(conserved(ynew) - q0) / scale
-            if drift > cfg.norm_check_tol:
+            if not (drift <= cfg.norm_check_tol):  # NaN drift fails too
                 if depth >= cfg.max_halvings:
                     raise StepUnstable(
                         f"conservation drift {drift:.3e} exceeds tolerance "

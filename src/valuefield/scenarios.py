@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -24,7 +25,8 @@ from . import field as vfield
 from . import geometry as geo
 from . import quantum as qm
 from . import scaled_numbers as sn
-from .constants import AU_LIGHT_TIME_S, CONSTANTS_TABLE, GYR_S, YEAR_S
+from .constants import CONSTANTS_TABLE, GYR_S, YEAR_S
+from .errors import ConfigInvalid
 
 
 @dataclass
@@ -78,6 +80,67 @@ def _artifact(report: RunReport, out_dir: Path, name: str) -> Path:
     return path
 
 
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+# -- parameter tables ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """One scenario parameter: value type, default as config text, range
+    check and the diagnostic given when the check fails."""
+
+    type: type
+    default: str
+    check: Callable[[float], bool] = lambda v: True
+    message: str = ""
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_EVEN_COUNT = (lambda v: v > 0 and v % 2 == 0, "must be a positive even count")
+
+SCENARIOS: dict[str, Callable] = {}
+PARAMS: dict[str, dict[str, Param]] = {}
+
+
+def _scenario(name: str, params: dict[str, Param]):
+    """Register the decorated function as scenario ``name`` with its parameters."""
+    def register(run):
+        SCENARIOS[name], PARAMS[name] = run, params
+        return run
+    return register
+
+
+def parse_params(name: str, raw: dict[str, str]) -> tuple[dict, list[str]]:
+    """Typed parameters of scenario ``name`` from config text, with defaults
+    filled in, and one ``name.key: ...`` diagnostic per problem. Unknown keys
+    and non-finite numbers are problems; no diagnostics means valid."""
+    table = PARAMS[name]
+    diags = [f"{name}.{key}: unknown key" for key in raw if key not in table]
+    values = {}
+    for key, param in table.items():
+        text = raw.get(key, param.default)
+        try:
+            value = param.type(text)
+        except ValueError:
+            diags.append(f"{name}.{key}: cannot parse {text!r} as {param.type.__name__}")
+            continue
+        if not math.isfinite(value):
+            diags.append(f"{name}.{key}: must be finite, got {text!r}")
+        elif not param.check(value):
+            diags.append(f"{name}.{key}: {param.message}")
+        values[key] = value
+    if not diags and name in _CONSISTENCY:
+        diags = _CONSISTENCY[name](values)
+    return values, diags
+
+
 # -- arithmetic-check -------------------------------------------------------
 
 
@@ -92,16 +155,18 @@ def _positive_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 50), rng.randint(1, 40))
 
 
-def scenario_arithmetic_check(cfg: dict, out_dir: Path) -> RunReport:
+@_scenario("arithmetic-check", {
+    "seed": Param(int, "0"),
+    "cases": Param(int, "1000", *_POSITIVE),
+})
+def scenario_arithmetic_check(p: dict, out_dir: Path) -> RunReport:
     """Exact identities of the scaled-number layer over a seeded random sweep."""
     report = RunReport("arithmetic-check")
-    seed = int(cfg.get("seed", 0))
-    cases = int(cfg.get("cases", 1000))
-    rng = random.Random(seed)
+    rng = random.Random(p["seed"])
 
     rows = []
     failures = {"raw": 0, "compose": 0, "zero": 0, "mul": 0, "div": 0, "add": 0}
-    for _ in range(cases):
+    for _ in range(p["cases"]):
         s, t, u = (_positive_fraction(rng) for _ in range(3))
         a = _random_fraction(rng, nonzero=True)
         b = _random_fraction(rng, nonzero=True)
@@ -132,25 +197,24 @@ def scenario_arithmetic_check(cfg: dict, out_dir: Path) -> RunReport:
     for name, count in failures.items():
         report.add(f"exact_{name}_failures", 0, count, 0)
 
-    golden = _artifact(report, out_dir, "arithmetic_golden.csv")
-    with open(golden, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "t", "a", "b", "op", "expected"])
-        for row in rows:
-            w.writerow([str(v) for v in row])
+    _write_rows(_artifact(report, out_dir, "arithmetic_golden.csv"),
+                ["s", "t", "a", "b", "op", "expected"], rows)
     return report
 
 
 # -- field-calculus ---------------------------------------------------------
 
 
-def scenario_field_calculus(cfg: dict, out_dir: Path) -> RunReport:
+@_scenario("field-calculus", {
+    "k": Param(float, "0.7"),
+    "y0": Param(float, "0.3"),
+    "sigma": Param(float, "0.5", *_POSITIVE),
+    "n": Param(int, "16384", *_EVEN_COUNT),
+})
+def scenario_field_calculus(p: dict, out_dir: Path) -> RunReport:
     """Transport-weighted quadrature and the covariant-derivative identity."""
     report = RunReport("field-calculus")
-    k = float(cfg.get("k", 0.7))
-    y0 = float(cfg.get("y0", 0.3))
-    sigma = float(cfg.get("sigma", 0.5))
-    n = int(cfg.get("n", 2 ** 14))
+    k, y0, sigma = p["k"], p["y0"], p["sigma"]
 
     fld = vfield.AnalyticField(lambda p: k * p[1],
                                lambda p: np.array([0.0, k, 0.0, 0.0]))
@@ -162,20 +226,16 @@ def scenario_field_calculus(cfg: dict, out_dir: Path) -> RunReport:
 
     exact = math.exp(k * y0 + 0.5 * (k * sigma) ** 2)
     lo, hi = y0 - 12 * sigma, y0 + 12 * sigma
-    got = vfield.scaled_integral(gauss, fld, x_ref, lo, hi, n=n)
+    got = vfield.scaled_integral(gauss, fld, x_ref, lo, hi, n=p["n"])
     report.add_bound("gaussian_weight_integral_rel_err",
                      abs(got - exact) / exact, 1e-8)
 
     conv_rows = []
     for nn in (16, 32, 64, 128, 256):
         v = vfield.scaled_integral(gauss, fld, x_ref, lo, hi, n=nn)
-        conv_rows.append((nn, abs(v - exact) / exact))
-    conv = _artifact(report, out_dir, "quadrature_convergence.csv")
-    with open(conv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n_panels", "rel_error"])
-        for nn, err in conv_rows:
-            w.writerow([nn, repr(err)])
+        conv_rows.append((nn, repr(float(abs(v - exact) / exact))))
+    _write_rows(_artifact(report, out_dir, "quadrature_convergence.csv"),
+                ["n_panels", "rel_error"], conv_rows)
 
     def inv_weight(p):
         return math.exp(-k * p[1])
@@ -201,28 +261,32 @@ def scenario_field_calculus(cfg: dict, out_dir: Path) -> RunReport:
 # -- geodesic ---------------------------------------------------------------
 
 
-def scenario_geodesic(cfg: dict, out_dir: Path) -> RunReport:
+@_scenario("geodesic", {
+    "c": Param(float, "299792458.0", *_POSITIVE),
+    "steps": Param(int, "10000", *_POSITIVE),
+    "beta": Param(float, "0.3", lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "alpha_const": Param(float, "0.4"),
+    "span_tau": Param(float, "1e-4", *_POSITIVE),
+    "mass": Param(float, "1.0", *_POSITIVE),
+})
+def scenario_geodesic(p: dict, out_dir: Path) -> RunReport:
     """Straight-line limit at constant alpha and linearity of the rhs in A."""
     report = RunReport("geodesic")
-    c = float(cfg.get("c", 299792458.0))
-    steps = int(cfg.get("steps", 10000))
-    beta = float(cfg.get("beta", 0.3))
-    alpha_const = float(cfg.get("alpha_const", 0.4))
+    c, beta, span = p["c"], p["beta"], p["span_tau"]
 
     gamma = 1.0 / math.sqrt(1.0 - beta ** 2)
     init = geo.GeodesicState(
         vfield.spacetime_point(0.0, 0.0, 0.0, 0.0),
         np.array([gamma * c, gamma * beta * c, 0.0, 0.0]),
     )
-    span = float(cfg.get("span_tau", 1e-4))
-    cfg_int = geo.IntegratorConfig(step=span / steps, span=span)
-    fld = vfield.ConstantField(alpha_const)
+    cfg_int = geo.IntegratorConfig(step=span / p["steps"], span=span)
+    fld = vfield.ConstantField(p["alpha_const"])
     traj = geo.integrate_geodesic(fld, init, cfg_int, c)
     straight = init.p[1] + init.u[1] * traj.tau
     dev = float(np.max(np.abs(traj.p[:, 1] - straight)))
     report.add_bound("straight_line_rel_dev", dev / abs(init.u[1] * span), 1e-9)
 
-    particle = geo.ParticleSpec(float(cfg.get("mass", 1.0)), c)
+    particle = geo.ParticleSpec(p["mass"], c)
     art = _artifact(report, out_dir, "geodesic_trajectory.csv")
     traj.to_csv(art, particle)
 
@@ -242,15 +306,18 @@ def scenario_geodesic(cfg: dict, out_dir: Path) -> RunReport:
 # -- schrodinger ------------------------------------------------------------
 
 
-def scenario_schrodinger(cfg: dict, out_dir: Path) -> RunReport:
+@_scenario("schrodinger", {
+    "n": Param(int, "1024", *_EVEN_COUNT),
+    "steps": Param(int, "1000", *_POSITIVE),
+    "dt": Param(float, "1e-3", *_POSITIVE),
+    "a0": Param(float, "0.25"),
+})
+def scenario_schrodinger(p: dict, out_dir: Path) -> RunReport:
     """Damped-unitary evolution: norm law with constant A, unitarity at A = 0."""
     report = RunReport("schrodinger")
-    n = int(cfg.get("n", 1024))
-    steps = int(cfg.get("steps", 1000))
-    dt = float(cfg.get("dt", 1e-3))
-    a0 = float(cfg.get("a0", 0.25))
+    steps, dt, a0 = p["steps"], p["dt"], p["a0"]
 
-    y = np.linspace(-40.0, 40.0, n, endpoint=False)
+    y = np.linspace(-40.0, 40.0, p["n"], endpoint=False)
     psi0 = qm.gaussian_packet(y, y0=0.0, sigma=1.0)
     ham = qm.HamiltonianSpec("spectral", mass=1.0, hbar=1.0)
 
@@ -318,23 +385,44 @@ def _era_ode_exponent(kind: str, params: cos.CosmologyParams):
     return fit, power
 
 
-def scenario_cosmology(cfg: dict, out_dir: Path) -> RunReport:
+def _cosmology_consistency(p: dict) -> list[str]:
+    """Flatness and era ordering, which no single parameter can check."""
+    diags = []
+    total = p["omega_m"] + p["omega_r"] + p["omega_v"]
+    if abs(total - 1.0) > 1e-12:
+        diags.append(f"cosmology.omega_m+omega_r+omega_v: flatness violated, "
+                     f"sum = {total!r} (needs 1)")
+    if p["s_rm_kyr"] * 1e3 >= p["s_de_gyr"] * 1e9:
+        diags.append("cosmology.s_rm_kyr: must precede s_de_gyr")
+    if p["s_de_gyr"] >= p["t_now_gyr"]:
+        diags.append("cosmology.s_de_gyr: must precede t_now_gyr")
+    return diags
+
+
+_CONSISTENCY = {"cosmology": _cosmology_consistency}
+
+
+@_scenario("cosmology", {
+    "h0_kms_mpc": Param(float, "70", *_POSITIVE),
+    "omega_m": Param(float, "0.3", *_NONNEGATIVE),
+    "omega_r": Param(float, "0", *_NONNEGATIVE),
+    "omega_v": Param(float, "0.7", *_NONNEGATIVE),
+    "t_now_gyr": Param(float, "13.8", *_POSITIVE),
+    "s_rm_kyr": Param(float, "50", *_POSITIVE),
+    "s_de_gyr": Param(float, "10"),
+})
+def scenario_cosmology(p: dict, out_dir: Path) -> RunReport:
     """Rate conversion, era exponents, redshift linearization, residuals."""
     report = RunReport("cosmology")
     params = cos.CosmologyParams(
-        h0_kms_mpc=float(cfg.get("h0_kms_mpc", 70.0)),
-        omega_m=float(cfg.get("omega_m", 0.3)),
-        omega_r=float(cfg.get("omega_r", 0.0)),
-        omega_v=float(cfg.get("omega_v", 0.7)),
-        t_now_yr=float(cfg.get("t_now_gyr", 13.8)) * 1e9,
-    )
+        h0_kms_mpc=p["h0_kms_mpc"], omega_m=p["omega_m"], omega_r=p["omega_r"],
+        omega_v=p["omega_v"], t_now_yr=p["t_now_gyr"] * 1e9)
 
+    # published rates at H0 = 70 km/s/Mpc, scaled to the configured H0
     per_yr, per_s = cos.h0_convert(params.h0_kms_mpc)
-    if params.h0_kms_mpc == 70.0:
-        report.add("h0_per_year", 7.16e-11, per_yr, 0.005e-11)
-        report.add("h0_per_second", 2.3e-18, per_s, 0.05e-18)
-    else:
-        report.add("h0_per_year", per_s * YEAR_S, per_yr, 1e-22)
+    scale = params.h0_kms_mpc / 70.0
+    report.add("h0_per_year", 7.16e-11 * scale, per_yr, 0.005e-11 * scale)
+    report.add("h0_per_second", 2.3e-18 * scale, per_s, 0.05e-18 * scale)
 
     for kind in ("matter", "radiation"):
         era_params = cos.CosmologyParams(
@@ -376,8 +464,8 @@ def scenario_cosmology(cfg: dict, out_dir: Path) -> RunReport:
         rel = max(rel, abs(r1) / a2, abs(r2) / a2)
     report.add_bound("matter_friedmann_rel_residual", rel, 1e-9)
 
-    s_rm = float(cfg.get("s_rm_kyr", 50.0)) * 1e3 * YEAR_S
-    s_de = float(cfg.get("s_de_gyr", 10.0)) * GYR_S
+    s_rm = p["s_rm_kyr"] * 1e3 * YEAR_S
+    s_de = p["s_de_gyr"] * GYR_S
     profile = cos.build_alpha_profile(params, s_rm, s_de)
     left, right = profile.slope_sides(s_de)
     report.add_bound("onset_slope_steepening", right - left, 0.0)
@@ -393,43 +481,37 @@ def scenario_cosmology(cfg: dict, out_dir: Path) -> RunReport:
 # -- bound-check --------------------------------------------------------------
 
 
-def scenario_bound_check(cfg: dict, out_dir: Path) -> RunReport:
+@_scenario("bound-check", {
+    "h0_kms_mpc": Param(float, "70", *_POSITIVE),
+    "window_s": Param(float, "499.0", *_POSITIVE),
+    "eps": Param(float, "1e-10", *_POSITIVE),
+})
+def scenario_bound_check(p: dict, out_dir: Path) -> RunReport:
     """Local undetectability: |alpha - alpha_ref| over an occupiable region."""
     report = RunReport("bound-check")
-    params = cos.CosmologyParams(h0_kms_mpc=float(cfg.get("h0_kms_mpc", 70.0)))
-    window = float(cfg.get("window_s", AU_LIGHT_TIME_S))
-    eps = float(cfg.get("eps", 1e-10))
+    params = cos.CosmologyParams(h0_kms_mpc=p["h0_kms_mpc"])
+    window, eps = p["window_s"], p["eps"]
 
     lin = cos.linear_hubble_profile(params)
     t_now = lin.t_now
     dev, ok = cos.local_bound_check(lin, (t_now - window, t_now), eps=eps)
     report.add_bound("solar_region_alpha_deviation", dev, eps)
 
-    art = _artifact(report, out_dir, "bound_check.csv")
-    with open(art, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_s", "max_deviation", "epsilon", "pass"])
-        w.writerow([repr(window), repr(dev), repr(eps), str(ok).lower()])
+    _write_rows(_artifact(report, out_dir, "bound_check.csv"),
+                ["window_s", "max_deviation", "epsilon", "pass"],
+                [[repr(window), repr(dev), repr(eps), str(ok).lower()]])
     return report
 
 
-SCENARIOS = {
-    "arithmetic-check": scenario_arithmetic_check,
-    "field-calculus": scenario_field_calculus,
-    "geodesic": scenario_geodesic,
-    "schrodinger": scenario_schrodinger,
-    "cosmology": scenario_cosmology,
-    "bound-check": scenario_bound_check,
-}
-
-
-def run_scenario(name: str, cfg: dict, out_dir: Path) -> RunReport:
+def run_scenario(name: str, cfg: dict[str, str], out_dir: Path) -> RunReport:
+    """Run scenario ``name`` on config text ``cfg``; missing keys take defaults."""
+    values, diags = parse_params(name, cfg)
+    if diags:
+        raise ConfigInvalid("; ".join(diags))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    report = SCENARIOS[name](cfg, out_dir)
+    report = SCENARIOS[name](values, out_dir)
     report.wall_time_s = time.perf_counter() - start
-    report_path = out_dir / "report.csv"
-    report.write_csv(report_path)
-    report.artifacts.append(str(report_path))
+    report.write_csv(_artifact(report, out_dir, "report.csv"))
     return report

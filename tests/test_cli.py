@@ -1,10 +1,21 @@
+import csv
 import filecmp
 from pathlib import Path
 
 import pytest
 
+from valuefield import cosmology
 from valuefield.cli import DEFAULT_CONFIGS, load_config, main, validate_config
+from valuefield.errors import ConfigInvalid
 from valuefield.scenarios import SCENARIOS, run_scenario
+
+
+def parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def write_config(tmp_path, scenario, extra=None, name="run.cfg"):
@@ -45,6 +56,18 @@ class TestValidate:
         diags = validate_config(cfg)
         assert any("schrodinger.steps" in d for d in diags)
 
+    def test_default_section_is_rejected_not_merged(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[DEFAULT]\neps = 1e-9\n\n[scenario]\nname = bound-check\n")
+        diags = validate_config(load_config(path))
+        assert len(diags) == 1 and diags[0].startswith("DEFAULT: unknown section")
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[scenario]\nname = bound-check\n\n[output]\ndir = 50%out\n")
+        cfg = load_config(path)
+        assert cfg["output"]["dir"] == "50%out" and validate_config(cfg) == []
+
     def test_unknown_key(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "bound-check", {"volume": "12"}))
         diags = validate_config(cfg)
@@ -82,6 +105,32 @@ class TestExitCodes:
         code = main(["run", str(tmp_path / "absent.cfg")])
         assert code == 2
         assert "io error" in capsys.readouterr().err
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"[scenario]\nname = bound-check\n# \xff\xfe\n")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot parse")
+
+    @pytest.mark.parametrize("scenario, override, code", [
+        ("geodesic", "geodesc.steps=0", 2),            # misspelt section
+        ("bound-check", "scenario.nmae=x", 2),         # misspelt key
+        ("geodesic", "geodesic.c=-1", 2),
+        ("geodesic", "geodesic.alpha_const=nan", 2),
+        ("cosmology", "cosmology.h0_kms_mpc=inf", 2),
+        ("cosmology", "cosmology.s_rm_kyr=-1", 2),
+        ("field-calculus", "field-calculus.k=1e3", 3),  # exp overflows mid-run
+    ])
+    def test_bad_input_exit_code_without_traceback(self, tmp_path, capsys,
+                                                   scenario, override, code):
+        cfg = write_config(tmp_path, scenario)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                     "--set", override]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        if code == 3:
+            assert captured.err.startswith("run error: OverflowError: ")
+            assert captured.err.count("\n") == 1
 
 
 class TestOverridesAndEnv:
@@ -150,6 +199,34 @@ class TestReports:
             assert report.all_passed, scenario
             names = [c.name for c in report.checks]
             assert len(names) == len(set(names)), scenario
+
+    def test_every_numeric_csv_cell_parses_as_float(self, tmp_path):
+        text_columns = {"name", "pass", "op"}
+        fraction_columns = {"s", "t", "a", "b", "expected"}  # arithmetic_golden.csv
+        bad = []
+        for scenario in SCENARIOS:
+            report = run_scenario(scenario, dict(DEFAULT_CONFIGS[scenario]),
+                                  tmp_path / scenario)
+            for path in map(Path, report.artifacts):
+                skip = text_columns
+                if path.name == "arithmetic_golden.csv":
+                    skip = text_columns | fraction_columns
+                with open(path, newline="") as fh:
+                    rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+                bad += [(path.name, column, cell) for row in rows
+                        for column, cell in row.items()
+                        if column not in skip and not parses_as_float(cell)]
+        assert bad == []
+
+    def test_h0_rate_checked_against_published_value(self, tmp_path, monkeypatch):
+        # a megaparsec 10% off must fail the rate check at any H0
+        monkeypatch.setattr(cosmology, "MPC_KM", cosmology.MPC_KM * 1.1)
+        report = run_scenario("cosmology", {"h0_kms_mpc": "67"}, tmp_path)
+        assert not next(c for c in report.checks if c.name == "h0_per_year").passed
+
+    def test_run_scenario_rejects_unknown_key(self, tmp_path):
+        with pytest.raises(ConfigInvalid, match="bound-check.volume: unknown key"):
+            run_scenario("bound-check", {"volume": "12"}, tmp_path)
 
 
 class TestGoldenVectors:

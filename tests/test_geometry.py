@@ -144,6 +144,14 @@ class TestIntegrateGeodesic:
         with pytest.raises(StepUnstable):
             integrate_geodesic(fld, init, cfg, C_DESK)
 
+    def test_nan_alpha_fails_the_conservation_monitor(self):
+        # a NaN drift must count as a failed step, never as a passing one
+        from valuefield.errors import StepUnstable
+        init = GeodesicState(spacetime_point(), np.array([C_DESK, 0.3, 0, 0]))
+        cfg = IntegratorConfig(step=0.1, span=1.0, max_halvings=3)
+        with pytest.raises(StepUnstable):
+            integrate_geodesic(ConstantField(float("nan")), init, cfg, C_DESK)
+
     def test_reversing_gradient_reverses_initial_acceleration(self):
         st = GeodesicState(spacetime_point(), np.array([C_DESK, 0.2, 0, 0]))
         plus = geodesic_rhs(space_field(2e-4), st, C_DESK)
