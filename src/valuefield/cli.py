@@ -11,8 +11,8 @@ directory resolves in order: ``--out`` flag, ``VALUEFIELD_OUT`` environment
 variable, ``[output] dir`` key, then ``./valuefield_out``.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-configuration, usage or I/O error, 3 the run raised an error (reported as one
-``run error:`` line on stderr).
+configuration, usage or I/O error, 3 the run raised an error, a NumPy
+floating-point error included (reported as one ``run error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import configparser
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigInvalid, ValueFieldError
 from .scenarios import PARAMS, SCENARIOS, parse_params, run_scenario
@@ -84,7 +86,10 @@ def cmd_run(args) -> int:
             print(f"config error: {d}", file=sys.stderr)
         return 2
     scenario = cfg["scenario"]["name"]
-    report = run_scenario(scenario, cfg.get(scenario, {}), _resolve_out_dir(args, cfg))
+    # NumPy overflow, division by zero and invalid results become a
+    # FloatingPointError (exit 3) instead of warnings; underflow stays silent
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        report = run_scenario(scenario, cfg.get(scenario, {}), _resolve_out_dir(args, cfg))
     print(f"scenario: {report.scenario}  wall_time: {report.wall_time_s:.3f} s")
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"

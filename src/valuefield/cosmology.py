@@ -13,13 +13,13 @@ All quantities SI: times in seconds, H in 1/s, densities in kg/m^3.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .constants import C_M_PER_S, G_M3_KG_S2, MPC_KM, YEAR_S
 from .errors import InvalidBoundaries, OutOfDomain, OutOfRange
 from .field import AlphaField, TimeOnlyField
@@ -202,15 +202,10 @@ class AlphaProfile:
         """Export s, alpha, a, H, rho rows on a log-spaced time grid."""
         lo = s_min if s_min is not None else max(
             self.segments[0].s_lo * (1 + 1e-9), self.t_now * 1e-8)
-        ss = np.geomspace(lo, self.t_now, n)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["s", "alpha", "a", "H", "rho"])
-            for s in ss:
-                s = float(s)
-                w.writerow([repr(v) for v in (
-                    s, self.alpha(s), scale_factor(self, s), hubble(self, s),
-                    density(self, s, params))])
+        ss = np.geomspace(lo, self.t_now, n).tolist()
+        write_csv(path, ["s", "alpha", "a", "H", "rho"], (
+            (s, self.alpha(s), scale_factor(self, s), hubble(self, s),
+             density(self, s, params)) for s in ss))
 
 
 def scale_factor(profile: AlphaProfile, s: float) -> float:
@@ -261,8 +256,7 @@ def density(profile: AlphaProfile, s: float, params: CosmologyParams) -> float:
 
 
 def friedmann_residuals(profile: AlphaProfile, s: float, rho: float, p: float,
-                        params: CosmologyParams,
-                        r3_undivided_pressure: bool = False) -> tuple[float, float, float]:
+                        params: CosmologyParams) -> tuple[float, float, float]:
     """Residuals of the two Friedmann equations written in A = d alpha/ds,
     plus the combined equation with A^2 eliminated.
 
@@ -272,10 +266,7 @@ def friedmann_residuals(profile: AlphaProfile, s: float, rho: float, p: float,
 
     r3 never sees Lambda: the constant cancels when the two equations are
     combined, so it is bitwise identical across Lambda values. Eliminating
-    A^2 from r1/r2 forces the p/c^2 division (rho is a mass density here);
-    ``r3_undivided_pressure=True`` keeps the bare rho + p sum the combined
-    equation is often quoted with, which is dimensionally inconsistent with
-    r1/r2 in these units and kept only for comparison.
+    A^2 from r1/r2 forces the p/c^2 division (rho is a mass density here).
     """
     a_slope = profile.slope(s)
     a_rate = profile.slope_rate(s)
@@ -284,26 +275,11 @@ def friedmann_residuals(profile: AlphaProfile, s: float, rho: float, p: float,
     fourpg = 4.0 * math.pi * params.G
     r1 = a_slope ** 2 - (2.0 * fourpg * rho / 3.0 + lam_term)
     r2 = (-a_rate + a_slope ** 2) + (fourpg / 3.0) * (rho + 3.0 * p / c2) - lam_term
-    r3 = a_rate - fourpg * (rho + (p if r3_undivided_pressure else p / c2))
+    r3 = a_rate - fourpg * (rho + p / c2)
     return r1, r2, r3
 
 
 # -- era closed forms and profile construction -----------------------------
-
-
-@dataclass(frozen=True)
-class EraSpec:
-    """A single-component era and its time bounds."""
-
-    kind: str   # 'matter' | 'radiation' | 'vacuum'
-    s_lo: float
-    s_hi: float
-
-    def __post_init__(self):
-        if self.kind not in ("matter", "radiation", "vacuum"):
-            raise ValueError(f"unknown era kind {self.kind!r}")
-        if not (0 < self.s_lo < self.s_hi):
-            raise InvalidBoundaries("era bounds must satisfy 0 < s_lo < s_hi")
 
 
 def vacuum_rate(params: CosmologyParams, rho_v: float | None = None) -> float:
@@ -312,29 +288,6 @@ def vacuum_rate(params: CosmologyParams, rho_v: float | None = None) -> float:
     if rho_v is None:
         rho_v = critical_density(params)
     return math.sqrt(8.0 * math.pi * params.G * rho_v / 3.0)
-
-
-def era_alpha(era: EraSpec, s: float, anchor: tuple[float, float],
-              params: CosmologyParams) -> float:
-    """Closed-form alpha(s) inside one era, pinned to alpha(s_ref) = alpha_ref.
-
-    matter:    alpha_ref - (2/3) ln(s/s_ref)
-    radiation: alpha_ref - (1/2) ln(s/s_ref)
-    vacuum:    alpha_ref + rate * (s_ref - s), rate = sqrt(8 pi G rho_V/3)
-               with rho_V = Omega_v * critical density (critical when
-               Omega_v = 1, where the rate becomes H0).
-    """
-    if not (era.s_lo <= s <= era.s_hi):
-        raise OutOfRange(f"s = {s} outside era bounds [{era.s_lo}, {era.s_hi}]")
-    s_ref, alpha_ref = anchor
-    if era.kind == "matter":
-        return alpha_ref - (2.0 / 3.0) * math.log(s / s_ref)
-    if era.kind == "radiation":
-        return alpha_ref - 0.5 * math.log(s / s_ref)
-    rho_v = params.omega_v * critical_density(params)
-    if rho_v <= 0:
-        rho_v = critical_density(params)
-    return alpha_ref + vacuum_rate(params, rho_v) * (s_ref - s)
 
 
 def linear_hubble_profile(params: CosmologyParams) -> AlphaProfile:
@@ -380,18 +333,19 @@ def local_bound_check(obj, region, x_ref=None, eps: float = 1e-10,
     threshold eps. Returns (max_deviation, max_deviation < eps).
 
     For an :class:`AlphaProfile`, ``region`` is a time interval (s_lo, s_hi)
-    and x_ref a time (default s_hi). For an :class:`AlphaField`, ``region``
-    is a box (lo4, hi4) and x_ref a point (default the box center); sampling
-    runs along axis-aligned lines through x_ref plus all box corners, with a
-    fixed deterministic sample count.
+    and x_ref a time (default s_hi). The profile is nonincreasing, so the
+    maximum is exact: it sits at an end of the interval. For an
+    :class:`AlphaField`, ``region`` is a box (lo4, hi4) and x_ref a point
+    (default the box center); the deviation is *sampled*, not bounded, along
+    axis-aligned lines through x_ref plus all box corners, with
+    ``samples_per_axis`` points per line.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if isinstance(obj, AlphaProfile):
         s_lo, s_hi = float(region[0]), float(region[1])
         ref = s_hi if x_ref is None else float(x_ref)
-        ss = np.linspace(s_lo, s_hi, samples_per_axis)
-        dev = max(abs(obj.alpha_diff(float(s), ref)) for s in ss)
+        dev = max(abs(obj.alpha_diff(s_lo, ref)), abs(obj.alpha_diff(s_hi, ref)))
         return dev, dev < eps
 
     lo = np.asarray(region[0], dtype=float)
@@ -420,10 +374,6 @@ def redshift_table_to_csv(profile: AlphaProfile, params: CosmologyParams,
                           s_emits, path) -> None:
     """Export s_emit, z_exact, z_linear rows (reception at t_now)."""
     h0 = params.h0_per_s
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s_emit", "z_exact", "z_linear"])
-        for s in s_emits:
-            s = float(s)
-            z = redshift(profile, s, profile.t_now)
-            w.writerow([repr(s), repr(z), repr(h0 * (profile.t_now - s))])
+    write_csv(path, ["s_emit", "z_exact", "z_linear"], (
+        (s, redshift(profile, s, profile.t_now), h0 * (profile.t_now - s))
+        for s in map(float, s_emits)))

@@ -15,11 +15,13 @@ is d alpha/dt in 1/s; geometry code converts it to 1/m (divide by c) where a
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from typing import Callable
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import NonFiniteIntegrand, OutOfDomain
 
 _REL_FD_STEP = 1e-5  # default finite-difference step, relative to domain extent
@@ -200,13 +202,9 @@ class GridField(AlphaField):
         return cls(flat.reshape(sizes), header["origin"], header["h_per_axis"])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["axis_sizes", *self.samples.shape])
-            writer.writerow(["h_per_axis", *(repr(float(v)) for v in self.spacing)])
-            writer.writerow(["origin", *(repr(float(v)) for v in self.origin)])
-            for v in self.samples.ravel():
-                writer.writerow([repr(float(v))])
+        write_csv(path, ["axis_sizes", *self.samples.shape], itertools.chain(
+            [["h_per_axis", *self.spacing], ["origin", *self.origin]],
+            ([v] for v in self.samples.ravel())))
 
 
 class TimeOnlyField(AlphaField):
@@ -232,14 +230,6 @@ class TimeOnlyField(AlphaField):
 
 
 # -- operations -----------------------------------------------------------
-
-
-def alpha_at(field: AlphaField, p) -> float:
-    return field.alpha(p)
-
-
-def gradient_at(field: AlphaField, p) -> np.ndarray:
-    return field.gradient(p)
 
 
 def transport_factor(field: AlphaField, x, y) -> float:

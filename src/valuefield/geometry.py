@@ -17,16 +17,15 @@ the per-meter component used in contractions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import InvalidEnergy, LeftDomain, OutOfDomain, StepUnstable
-from .field import AlphaField, _as_point, gradient_at, transport_factor
+from .field import AlphaField, _as_point, transport_factor
 
-ETA = np.array([-1.0, 1.0, 1.0, 1.0])
-ETA_INV = np.array([-1.0, 1.0, 1.0, 1.0])
+ETA = np.array([-1.0, 1.0, 1.0, 1.0])  # its own inverse: used as eta and etainv
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,12 @@ class GeodesicState:
 class IntegratorConfig:
     step: float
     span: float
-    method: str = "rk4"
     norm_check_tol: float = 1e-6
     max_halvings: int = 10
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ class ParticleSpec:
 
 def a_per_meter(field: AlphaField, p, c: float) -> np.ndarray:
     """Gradient of alpha with the temporal component converted to 1/m."""
-    g = gradient_at(field, p)
+    g = field.gradient(p)
     return np.array([g[0] / c, g[1], g[2], g[3]])
 
 
@@ -110,7 +106,7 @@ def geodesic_rhs(field: AlphaField, state: GeodesicState, c: float) -> np.ndarra
     u = state.u
     au = float(a @ u)
     q2 = -eta_norm(u)  # c^2 on massive paths, 0 on null paths
-    return -au * u + 0.5 * ETA_INV * a * q2
+    return -au * u + 0.5 * ETA * a * q2
 
 
 @dataclass
@@ -130,13 +126,9 @@ class Trajectory:
 
     def to_csv(self, path, particle: ParticleSpec) -> None:
         gam = self.gamma(particle.c)
-        energy = gam * particle.rest_energy
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["tau", "t", "x", "y", "z", "u0", "u1", "u2", "u3", "gamma", "E"])
-            for i in range(len(self.tau)):
-                w.writerow([repr(float(v)) for v in
-                            (self.tau[i], *self.p[i], *self.u[i], gam[i], energy[i])])
+        table = np.column_stack([self.tau, self.p, self.u, gam, gam * particle.rest_energy])
+        write_csv(path, ["tau", "t", "x", "y", "z", "u0", "u1", "u2", "u3", "gamma", "E"],
+                  table)
 
 
 def _rk4(f, y, h):
@@ -178,6 +170,7 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
             return np.exp(3.0 * (field.alpha(yv[:4]) - alpha0)) * eta_norm(yv[4:])
 
         def advance(yv, h, depth):
+            """(state after step h, its drift); the drift is the last substep's."""
             ynew = _rk4(rhs, yv, h)
             if not np.all(np.isfinite(ynew)):
                 raise StepUnstable("non-finite state during geodesic step")
@@ -188,13 +181,13 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
                         f"conservation drift {drift:.3e} exceeds tolerance "
                         f"{cfg.norm_check_tol:.3e} at minimum step"
                     )
-                yv = advance(yv, h / 2, depth + 1)
+                yv, _ = advance(yv, h / 2, depth + 1)
                 return advance(yv, h / 2, depth + 1)
-            return ynew
+            return ynew, drift
 
         for i in range(n_steps):
-            y = advance(y, cfg.step, 0)
-            drift_max = max(drift_max, abs(conserved(y) - q0) / scale)
+            y, drift = advance(y, cfg.step, 0)
+            drift_max = max(drift_max, drift)
             taus.append((i + 1) * cfg.step)
             ps.append(y[:4].copy())
             us.append(y[4:].copy())
@@ -217,34 +210,29 @@ def coordinate_time_rhs(field: AlphaField, p, dpds, gamma: float,
     a = a_per_meter(field, p, c)
     dpds = np.asarray(dpds, dtype=float)
     adp = float(a @ dpds)
-    return -adp * gamma * dpds + 0.5 * ETA_INV * a * c ** 2 / gamma
+    return -adp * gamma * dpds + 0.5 * ETA * a * c ** 2 / gamma
 
 
-def gamma_rate(field: AlphaField, p, dpds, gamma: float, c: float,
-               unsigned_source: bool = False) -> float:
+def gamma_rate(field: AlphaField, p, dpds, gamma: float, c: float) -> float:
     """d gamma/ds for a free particle; contains no mass, so the fractional
     energy change is identical for any rest mass at the same kinematic state.
 
     Derived from the mu = 0 coordinate-time equation with dp0/ds = c, which
     carries the inverse-metric factor etainv_00 = -1 on the gradient source
-    term. ``unsigned_source=True`` drops that sign (the closed form is often
-    quoted without it) and is kept only for comparison; it is inconsistent
-    with :func:`coordinate_time_rhs`.
+    term, consistent with :func:`coordinate_time_rhs`.
     """
     a = a_per_meter(field, p, c)
     dpds = np.asarray(dpds, dtype=float)
-    sign0 = 1.0 if unsigned_source else ETA_INV[0]
-    return 0.5 * sign0 * a[0] * c / gamma - float(a @ dpds) * gamma
+    return 0.5 * ETA[0] * a[0] * c / gamma - float(a @ dpds) * gamma
 
 
-def energy_rate(field: AlphaField, p, dpds, energy: float, particle: ParticleSpec,
-                unsigned_source: bool = False) -> float:
+def energy_rate(field: AlphaField, p, dpds, energy: float, particle: ParticleSpec) -> float:
     """dE/ds for a free particle of total energy E = gamma m c^2."""
     rest = particle.rest_energy
     if energy < rest:
         raise InvalidEnergy(f"E = {energy} below rest energy {rest}")
     gamma = energy / rest
-    return rest * gamma_rate(field, p, dpds, gamma, particle.c, unsigned_source)
+    return rest * gamma_rate(field, p, dpds, gamma, particle.c)
 
 
 @dataclass
@@ -260,15 +248,11 @@ class CoordinateTrajectory:
         return self.gamma * particle.rest_energy
 
     def to_csv(self, path, particle: ParticleSpec) -> None:
-        energy = self.energy(particle)
-        c = particle.c
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["s", "t", "x", "y", "z", "u0", "u1", "u2", "u3", "gamma", "E"])
-            for i in range(len(self.s)):
-                u = self.gamma[i] * np.array([c, *self.v[i]])
-                w.writerow([repr(float(val)) for val in
-                            (self.s[i], *self.p[i], *u, self.gamma[i], energy[i])])
+        table = np.column_stack([self.s, self.p, self.gamma * particle.c,
+                                 self.gamma[:, None] * self.v, self.gamma,
+                                 self.energy(particle)])
+        write_csv(path, ["s", "t", "x", "y", "z", "u0", "u1", "u2", "u3", "gamma", "E"],
+                  table)
 
 
 def integrate_coordinate(field: AlphaField, p0, v0, particle: ParticleSpec,

@@ -18,7 +18,6 @@ finite-difference one a Dirichlet tridiagonal stencil.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,6 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
+from ._csv import write_csv
 from .errors import NotNormalized, StepUnstable
 from .field import AlphaField, _as_point
 
@@ -219,19 +219,12 @@ def free_particle_effective_energy(energy: float, rate_t: float, hbar: float) ->
 
 
 def snapshot_to_csv(psi: WaveFunction1D, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "y", "re_psi", "im_psi", "prob_density"])
-        dens = psi.probability_density()
-        for i in range(psi.y.size):
-            w.writerow([repr(float(v)) for v in
-                        (psi.t, psi.y[i], psi.psi[i].real, psi.psi[i].imag, dens[i])])
+    table = np.column_stack([np.full(psi.y.size, float(psi.t)), psi.y, psi.psi.real,
+                             psi.psi.imag, psi.probability_density()])
+    write_csv(path, ["t", "y", "re_psi", "im_psi", "prob_density"], table)
 
 
 def summary_to_csv(rows, path) -> None:
     """rows: iterable of (t, norm_sq, position_expectation)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "norm_sq", "position_expectation"])
-        for t, n2, pos in rows:
-            w.writerow([repr(float(t)), repr(float(n2)), repr(float(pos))])
+    write_csv(path, ["t", "norm_sq", "position_expectation"],
+              ((float(t), float(n2), float(pos)) for t, n2, pos in rows))

@@ -8,7 +8,6 @@ self-contained.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 import time
@@ -25,6 +24,7 @@ from . import field as vfield
 from . import geometry as geo
 from . import quantum as qm
 from . import scaled_numbers as sn
+from ._csv import write_csv
 from .constants import CONSTANTS_TABLE, GYR_S, YEAR_S
 from .errors import ConfigInvalid
 
@@ -65,26 +65,17 @@ class RunReport:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
             for name, value in CONSTANTS_TABLE:
                 fh.write(f"# {name},{value!r}\n")
-            w.writerow(["name", "expected", "measured", "tolerance", "pass"])
-            for c in self.checks:
-                w.writerow([c.name, repr(c.expected), repr(c.measured),
-                            repr(c.tolerance), str(c.passed).lower()])
+            write_csv(fh, ["name", "expected", "measured", "tolerance", "pass"],
+                      ((c.name, c.expected, c.measured, c.tolerance, c.passed)
+                       for c in self.checks))
 
 
 def _artifact(report: RunReport, out_dir: Path, name: str) -> Path:
     path = out_dir / name
     report.artifacts.append(str(path))
     return path
-
-
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
 
 
 # -- parameter tables ---------------------------------------------------------
@@ -197,8 +188,8 @@ def scenario_arithmetic_check(p: dict, out_dir: Path) -> RunReport:
     for name, count in failures.items():
         report.add(f"exact_{name}_failures", 0, count, 0)
 
-    _write_rows(_artifact(report, out_dir, "arithmetic_golden.csv"),
-                ["s", "t", "a", "b", "op", "expected"], rows)
+    write_csv(_artifact(report, out_dir, "arithmetic_golden.csv"),
+              ["s", "t", "a", "b", "op", "expected"], rows)
     return report
 
 
@@ -233,9 +224,9 @@ def scenario_field_calculus(p: dict, out_dir: Path) -> RunReport:
     conv_rows = []
     for nn in (16, 32, 64, 128, 256):
         v = vfield.scaled_integral(gauss, fld, x_ref, lo, hi, n=nn)
-        conv_rows.append((nn, repr(float(abs(v - exact) / exact))))
-    _write_rows(_artifact(report, out_dir, "quadrature_convergence.csv"),
-                ["n_panels", "rel_error"], conv_rows)
+        conv_rows.append((nn, abs(v - exact) / exact))
+    write_csv(_artifact(report, out_dir, "quadrature_convergence.csv"),
+              ["n_panels", "rel_error"], conv_rows)
 
     def inv_weight(p):
         return math.exp(-k * p[1])
@@ -497,9 +488,8 @@ def scenario_bound_check(p: dict, out_dir: Path) -> RunReport:
     dev, ok = cos.local_bound_check(lin, (t_now - window, t_now), eps=eps)
     report.add_bound("solar_region_alpha_deviation", dev, eps)
 
-    _write_rows(_artifact(report, out_dir, "bound_check.csv"),
-                ["window_s", "max_deviation", "epsilon", "pass"],
-                [[repr(window), repr(dev), repr(eps), str(ok).lower()]])
+    write_csv(_artifact(report, out_dir, "bound_check.csv"),
+              ["window_s", "max_deviation", "epsilon", "pass"], [(window, dev, eps, ok)])
     return report
 
 

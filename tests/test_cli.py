@@ -1,9 +1,13 @@
 import csv
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import valuefield
 from valuefield import cosmology
 from valuefield.cli import DEFAULT_CONFIGS, load_config, main, validate_config
 from valuefield.errors import ConfigInvalid
@@ -131,6 +135,24 @@ class TestExitCodes:
         if code == 3:
             assert captured.err.startswith("run error: OverflowError: ")
             assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario, override", [
+        ("schrodinger", "schrodinger.dt=1e6"),
+        ("geodesic", "geodesic.c=1e-300"),
+        ("field-calculus", "field-calculus.sigma=1e-300"),
+    ])
+    def test_floating_point_error_is_one_line(self, tmp_path, scenario, override):
+        # a child process, so that NumPy warnings reach stderr as a user sees them
+        cfg = write_config(tmp_path, scenario)
+        env = {**os.environ, "PYTHONPATH": str(Path(valuefield.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "valuefield.cli", "run", str(cfg),
+             "--out", str(tmp_path / "out"), "--set", override],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("run error: FloatingPointError: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Warning" not in proc.stderr
 
 
 class TestOverridesAndEnv:

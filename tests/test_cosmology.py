@@ -8,12 +8,10 @@ from valuefield.constants import AU_LIGHT_TIME_S, GYR_S, YEAR_S
 from valuefield.cosmology import (
     AlphaProfile,
     CosmologyParams,
-    EraSpec,
     Segment,
     build_alpha_profile,
     critical_density,
     density,
-    era_alpha,
     friedmann_residuals,
     h0_convert,
     hubble,
@@ -276,15 +274,6 @@ class TestFriedmannResiduals:
         assert friedmann_residuals(prof, s, rho, p, params)[0] != \
             friedmann_residuals(prof, s, rho, p, with_lam)[0]
 
-    def test_undivided_pressure_r3_flag(self):
-        params = CosmologyParams()
-        prof = matter_profile(matter_only_params())
-        s = 0.5 * prof.t_now
-        derived = friedmann_residuals(prof, s, 2e-27, 1e-11, params)[2]
-        literal = friedmann_residuals(prof, s, 2e-27, 1e-11, params,
-                                      r3_undivided_pressure=True)[2]
-        assert derived != literal
-
 
 class TestEraOde:
     """Independent route: integrate adot = H0 a^(1+d/2) and fit exponents."""
@@ -320,35 +309,18 @@ class TestEraOde:
         assert rate == pytest.approx(params.h0_per_s, rel=1e-12)
 
 
-class TestEraAlpha:
+class TestSegment:
     def test_anchor_identity(self):
-        params = CosmologyParams()
-        for kind in ("matter", "radiation", "vacuum"):
-            era = EraSpec(kind, 1 * GYR_S, 12 * GYR_S)
-            assert era_alpha(era, 5 * GYR_S, (5 * GYR_S, 1.7), params) == 1.7
+        rate = vacuum_rate(CosmologyParams())
+        for kind in ("matter", "radiation", "linear"):
+            seg = Segment(1 * GYR_S, 12 * GYR_S, kind, s_ref=5 * GYR_S, alpha_ref=1.7,
+                          rate=rate)
+            assert seg.alpha(5 * GYR_S) == 1.7
 
     def test_matter_logarithm(self):
-        params = CosmologyParams()
-        era = EraSpec("matter", 1 * GYR_S, 12 * GYR_S)
         a_ref = 0.9
-        out = era_alpha(era, 8 * GYR_S, (1 * GYR_S, a_ref), params)
-        assert out == pytest.approx(a_ref - 2 * math.log(2), rel=1e-12)
-
-    def test_vacuum_normalization_now(self):
-        params = CosmologyParams(omega_m=0.0, omega_r=0.0, omega_v=1.0)
-        t = params.t_now_s
-        era = EraSpec("vacuum", 1 * GYR_S, t)
-        assert era_alpha(era, t, (t, 0.0), params) == 0.0
-        # linear in (t - s) at rate H0 when the vacuum density is critical
-        s = 11 * GYR_S
-        assert era_alpha(era, s, (t, 0.0), params) == pytest.approx(
-            params.h0_per_s * (t - s), rel=1e-12)
-
-    def test_outside_bounds(self):
-        params = CosmologyParams()
-        era = EraSpec("matter", 1 * GYR_S, 2 * GYR_S)
-        with pytest.raises(OutOfRange):
-            era_alpha(era, 3 * GYR_S, (1 * GYR_S, 0.0), params)
+        seg = Segment(1 * GYR_S, 12 * GYR_S, "matter", s_ref=1 * GYR_S, alpha_ref=a_ref)
+        assert seg.alpha(8 * GYR_S) == pytest.approx(a_ref - 2 * math.log(2), rel=1e-12)
 
 
 class TestBuildProfile:
@@ -422,6 +394,18 @@ class TestBoundCheck:
         assert ok
         assert dev == pytest.approx(params.h0_per_s * AU_LIGHT_TIME_S, rel=0.15)
         assert dev < 1e-14
+
+    def test_interior_reference_takes_the_larger_end(self):
+        # region across the matter to dark-energy onset, reference inside it
+        params = CosmologyParams()
+        prof = build_alpha_profile(params, 50e3 * YEAR_S, 10 * GYR_S)
+        lo, hi, ref = 9 * GYR_S, 13 * GYR_S, 10.5 * GYR_S
+        dev, ok = local_bound_check(prof, (lo, hi), x_ref=ref, eps=1.0)
+        ends = [abs(prof.alpha_diff(lo, ref)), abs(prof.alpha_diff(hi, ref))]
+        assert dev == max(ends) and ok
+        assert ends[0] != ends[1]
+        sampled = max(abs(prof.alpha_diff(float(s), ref)) for s in np.linspace(lo, hi, 1001))
+        assert sampled == dev
 
     def test_threshold_crossing(self):
         from valuefield.field import AnalyticField

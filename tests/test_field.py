@@ -9,9 +9,7 @@ from valuefield.field import (
     ConstantField,
     GridField,
     TimeOnlyField,
-    alpha_at,
     covariant_derivative,
-    gradient_at,
     scaled_integral,
     scaled_integral_3d,
     spacetime_point,
@@ -31,18 +29,18 @@ def linear_x_field(k, with_grad=True):
 class TestAlphaAt:
     def test_constant(self):
         fld = ConstantField(2.5)
-        assert alpha_at(fld, spacetime_point(1, 2, 3, 4)) == 2.5
+        assert fld.alpha(spacetime_point(1, 2, 3, 4)) == 2.5
 
     def test_hubble_profile_vanishes_now(self):
         t_now = 4.35e17
         fld = TimeOnlyField(lambda s: H0_PER_S * (t_now - s))
-        assert alpha_at(fld, spacetime_point(t_now)) == 0.0
+        assert fld.alpha(spacetime_point(t_now)) == 0.0
 
     def test_grid_interpolation_identity_at_nodes(self):
         rng = np.random.default_rng(7)
         samples = rng.normal(size=(3, 4, 4, 5))
         fld = GridField(samples, origin=(0, 0, 0, 0), spacing=(1.0, 0.5, 0.5, 0.25))
-        assert alpha_at(fld, spacetime_point(1, 1.0, 1.5, 0.75)) == pytest.approx(
+        assert fld.alpha(spacetime_point(1, 1.0, 1.5, 0.75)) == pytest.approx(
             samples[1, 2, 3, 3], abs=1e-14)
 
     def test_grid_multilinear_between_nodes(self):
@@ -54,26 +52,26 @@ class TestAlphaAt:
         tt, xx, yy, zz = np.meshgrid(t, x, y, z, indexing="ij")
         fld = GridField(2 * tt + 3 * xx - yy + 0.5 * zz, (0, 0, 0, 0), (1, 1, 1, 1))
         p = spacetime_point(0.25, 1.75, 0.5, 2.25)
-        assert alpha_at(fld, p) == pytest.approx(2 * 0.25 + 3 * 1.75 - 0.5 + 0.5 * 2.25, rel=1e-14)
+        assert fld.alpha(p) == pytest.approx(2 * 0.25 + 3 * 1.75 - 0.5 + 0.5 * 2.25, rel=1e-14)
 
     def test_out_of_domain(self):
         fld = GridField(np.zeros((2, 2, 2, 2)), (0, 0, 0, 0), (1, 1, 1, 1))
         with pytest.raises(OutOfDomain):
-            alpha_at(fld, spacetime_point(3, 0, 0, 0))
+            fld.alpha(spacetime_point(3, 0, 0, 0))
 
 
 class TestGradientAt:
     def test_constant_field(self):
-        assert np.allclose(gradient_at(ConstantField(1.3), spacetime_point()), 0.0)
+        assert np.allclose(ConstantField(1.3).gradient(spacetime_point()), 0.0)
 
     def test_linear_analytic(self):
-        g = gradient_at(linear_x_field(0.7), spacetime_point(0, 2))
+        g = linear_x_field(0.7).gradient(spacetime_point(0, 2))
         assert np.array_equal(g, [0.0, 0.7, 0.0, 0.0])
 
     def test_hubble_rate(self):
         t_now = 4.35e17
         fld = TimeOnlyField(lambda s: H0_PER_S * (t_now - s))
-        g = gradient_at(fld, spacetime_point(t_now / 2))
+        g = fld.gradient(spacetime_point(t_now / 2))
         assert g[0] == pytest.approx(-H0_PER_S, rel=1e-6)
         assert np.all(g[1:] == 0.0)
 
@@ -91,7 +89,7 @@ class TestGradientAt:
     def test_one_sided_at_boundary(self):
         dom = (spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))
         fld = AnalyticField(lambda p: 0.3 * p[1] ** 2, domain=dom)
-        g = gradient_at(fld, spacetime_point(0, 1.0))
+        g = fld.gradient(spacetime_point(0, 1.0))
         assert g[1] == pytest.approx(0.6, rel=1e-6)
 
     def test_grid_field_linear_gradient_everywhere(self):
@@ -103,14 +101,14 @@ class TestGradientAt:
         for p in (spacetime_point(1.0, 1.5, 2.0, 1.0),
                   spacetime_point(0.0, 0.0, 0.0, 0.0),      # all-walls corner
                   spacetime_point(2.0, 3.0, 3.0, 2.0)):     # opposite corner
-            g = gradient_at(fld, p)
+            g = fld.gradient(p)
             assert np.allclose(g, [0.5, -2.0, 0.25, 1.0], atol=1e-12)
 
     def test_grid_field_smooth_gradient(self):
         xs = np.linspace(-1.0, 1.0, 41)
         samples = np.sin(2.0 * xs)[None, :, None, None] * np.ones((2, 1, 2, 2))
         fld = GridField(samples, (0.0, -1.0, 0.0, 0.0), (1.0, 0.05, 1.0, 1.0))
-        g = gradient_at(fld, spacetime_point(0.5, 0.3, 0.5, 0.5))
+        g = fld.gradient(spacetime_point(0.5, 0.3, 0.5, 0.5))
         assert g[1] == pytest.approx(2.0 * math.cos(0.6), rel=5e-3)
 
     def test_richardson_refinement(self):
@@ -120,8 +118,8 @@ class TestGradientAt:
                                 fd_scale=1e-3)
         p = spacetime_point(0, 1.2)
         exact = 0.3 * math.exp(0.36)
-        err_plain = abs(gradient_at(plain, p)[1] - exact)
-        err_ref = abs(gradient_at(refined, p)[1] - exact)
+        err_plain = abs(plain.gradient(p)[1] - exact)
+        err_ref = abs(refined.gradient(p)[1] - exact)
         assert err_ref < err_plain / 100
 
 

@@ -135,6 +135,26 @@ class TestIntegrateGeodesic:
         traj = integrate_geodesic(fld, init, cfg, C_DESK)
         assert traj.norm_drift <= 1e-6
 
+    def test_one_alpha_call_per_accepted_step(self):
+        # the drift that accepts a step is the drift reported: alpha is
+        # evaluated once at the start and once per step, never again
+        class CountingField(ConstantField):
+            calls = 0
+
+            def alpha(self, p):
+                self.calls += 1
+                return super().alpha(p)
+
+        fld = CountingField(0.4)
+        init = GeodesicState(spacetime_point(), np.array([C_DESK, 0.3, 0, 0]))
+        traj = integrate_geodesic(fld, init, IntegratorConfig(step=0.1, span=1.0), C_DESK)
+        n_steps = len(traj.tau) - 1
+        assert n_steps == 10
+        assert fld.calls == n_steps + 1
+        q0 = eta_norm(init.u)
+        scale = max(abs(q0), init.u[0] ** 2)
+        assert traj.norm_drift == max(abs(eta_norm(u) - q0) / scale for u in traj.u[1:])
+
     def test_unreachable_tolerance_raises(self):
         from valuefield.errors import StepUnstable
         fld = time_field(-0.5 * C_DESK)
@@ -248,17 +268,14 @@ class TestEnergyRate:
         assert formula == pytest.approx(6.000000000000001e-05, rel=1e-9)
         assert fd == pytest.approx(formula, rel=1e-6)
 
-    def test_unsigned_source_flag_changes_sign(self):
+    def test_source_term_carries_inverse_metric_sign(self):
         a0 = -1e-5
         fld = time_field(a0)
         part = ParticleSpec(1.0, C_DESK)
         dpds = np.array([C_DESK, 0, 0, 0])
         derived = energy_rate(fld, spacetime_point(), dpds, part.rest_energy, part)
-        literal = energy_rate(fld, spacetime_point(), dpds, part.rest_energy, part,
-                              unsigned_source=True)
         atil = a0 / C_DESK
         assert derived == pytest.approx(-1.5 * atil * C_DESK ** 3, rel=1e-12)
-        assert literal == pytest.approx(-0.5 * atil * C_DESK ** 3, rel=1e-12)
 
     def test_below_rest_energy_rejected(self):
         part = ParticleSpec(1.0, C_DESK)
