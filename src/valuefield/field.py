@@ -15,6 +15,7 @@ is d alpha/dt in 1/s; geometry code converts it to 1/m (divide by c) where a
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from typing import Callable
@@ -40,8 +41,21 @@ def _as_point(p) -> np.ndarray:
     return p
 
 
+_VECTOR = np.dtype((float, 4))  # one gradient row, as np.fromiter builds it
+
+# the 16 corners of a 4-D cell: corner c has bit k of c on axis k
+_CORNERS = (np.arange(16)[:, None] >> np.arange(4)) & 1
+
+
 class AlphaField:
     """Base class: a real scalar field over spacetime with gradient access.
+
+    ``alpha(p)`` and ``gradient(p)`` take one point, a length-4 array, and
+    return a float and a 4-vector, or take an ``(N, 4)`` array of points and
+    return ``(N,)`` and ``(N, 4)`` arrays; row i of a batch equals the call on
+    point i. Subclasses implement ``_alpha_rows(rows)`` and, where they have an
+    analytic gradient, ``_gradient_rows(rows)`` on an ``(N, 4)`` array whose
+    rows are finite and inside the domain.
 
     ``domain`` is an optional axis-aligned box (lo, hi), each a 4-vector;
     None means unbounded.
@@ -50,23 +64,35 @@ class AlphaField:
     domain: tuple[np.ndarray, np.ndarray] | None = None
     fd_scale: float = _REL_FD_STEP
 
-    def alpha(self, p) -> float:
-        raise NotImplementedError
+    def alpha(self, p) -> float | np.ndarray:
+        p = np.asarray(p, dtype=float)
+        out = self._alpha_rows(self._require_inside(p))
+        return float(out[0]) if p.ndim == 1 else out
 
     def gradient(self, p) -> np.ndarray:
-        """(d alpha/dt [1/s], d alpha/dx, d alpha/dy, d alpha/dz [1/m])."""
-        p = self._require_inside(p)
-        return self._fd_gradient(p)
+        """(d alpha/dt [1/s], d alpha/dx, d alpha/dy, d alpha/dz [1/m]) per point."""
+        p = np.asarray(p, dtype=float)
+        out = self._gradient_rows(self._require_inside(p))
+        return out[0] if p.ndim == 1 else out
+
+    def _alpha_rows(self, rows: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------
 
-    def _require_inside(self, p) -> np.ndarray:
-        p = _as_point(p)
+    def _require_inside(self, p: np.ndarray) -> np.ndarray:
+        """The points of float array ``p`` as finite ``(N, 4)`` rows inside the domain."""
+        if p.ndim not in (1, 2) or p.shape[-1] != 4:
+            raise ValueError(f"spacetime points must have shape (4,) or (N, 4), got {p.shape}")
+        rows = p.reshape(-1, 4)
+        if not np.isfinite(rows).all():
+            raise ValueError("spacetime point has non-finite components")
         if self.domain is not None:
             lo, hi = self.domain
-            if np.any(p < lo) or np.any(p > hi):
-                raise OutOfDomain(f"point {p} outside box [{lo}, {hi}]")
-        return p
+            outside = ((rows < lo) | (rows > hi)).any(axis=1)
+            if outside.any():
+                raise OutOfDomain(f"point {rows[outside][0]} outside box [{lo}, {hi}]")
+        return rows
 
     def _fd_steps(self, p: np.ndarray) -> np.ndarray:
         steps = self.fd_scale * np.maximum(1.0, np.abs(p))
@@ -74,69 +100,59 @@ class AlphaField:
             lo, hi = self.domain
             extent = hi - lo
             bounded = np.isfinite(extent)
-            steps[bounded] = self.fd_scale * np.maximum(extent[bounded], 1.0)
+            steps[..., bounded] = self.fd_scale * np.maximum(extent[bounded], 1.0)
         return steps
 
-    def _fd_gradient(self, p: np.ndarray) -> np.ndarray:
-        out = np.empty(4)
-        steps = self._fd_steps(p)
-        for mu in range(4):
-            out[mu] = self._fd_axis(p, mu, steps[mu])
-        return out
-
-    def _fd_axis(self, p: np.ndarray, mu: int, h: float) -> float:
-        """Central difference along one axis; second-order one-sided at a wall."""
-        e = np.zeros(4)
-        e[mu] = h
-        if self.domain is None:
-            return (self.alpha(p + e) - self.alpha(p - e)) / (2 * h)
-        lo, hi = self.domain
-        if p[mu] - h >= lo[mu] and p[mu] + h <= hi[mu]:
-            return (self.alpha(p + e) - self.alpha(p - e)) / (2 * h)
-        if p[mu] + 2 * h <= hi[mu]:
-            return (-3 * self.alpha(p) + 4 * self.alpha(p + e) - self.alpha(p + 2 * e)) / (2 * h)
-        if p[mu] - 2 * h >= lo[mu]:
-            return (3 * self.alpha(p) - 4 * self.alpha(p - e) + self.alpha(p - 2 * e)) / (2 * h)
-        # axis thinner than 2h: clamped two-point difference (exact for the
-        # linear variation a one-cell grid axis can represent)
-        below, above = max(p[mu] - h, lo[mu]), min(p[mu] + h, hi[mu])
-        if above > below:
-            pl, ph = p.copy(), p.copy()
-            pl[mu], ph[mu] = below, above
-            return (self.alpha(ph) - self.alpha(pl)) / (above - below)
-        raise OutOfDomain(f"domain is a single point along axis {mu}")
+    def _gradient_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Finite differences from one ``_alpha_rows`` call over every stencil
+        point: central, second-order one-sided at a wall, and a clamped
+        two-point difference on an axis thinner than 2h."""
+        n = len(rows)
+        h = self._fd_steps(rows)  # (N, 4), or (4,) for every row
+        lo, hi = self.domain if self.domain is not None else (-np.inf, np.inf)
+        up, down = rows + h, rows - h
+        central = (down >= lo) & (up <= hi)
+        forward = ~central & (rows + 2 * h <= hi)
+        backward = ~central & ~forward & (rows - 2 * h >= lo)
+        clamped = ~(central | forward | backward)
+        # per (row, axis) two stencil coordinates a, b; one-sided formulas also use the row
+        a = np.where(backward, down, np.minimum(up, hi))
+        b = np.where(forward, rows + 2 * h,
+                     np.where(backward, rows - 2 * h, np.maximum(down, lo)))
+        if (clamped & (a <= b)).any():
+            raise OutOfDomain("domain is a single point along axis "
+                              f"{np.flatnonzero((clamped & (a <= b)).any(axis=0))[0]}")
+        axes = np.arange(4)
+        stencil = np.broadcast_to(rows[:, None, None, :], (n, 4, 2, 4)).copy()
+        stencil[:, axes, 0, axes] = a
+        stencil[:, axes, 1, axes] = b
+        values = self._alpha_rows(np.concatenate([stencil.reshape(-1, 4), rows]))
+        fa, fb = values[:8 * n].reshape(n, 4, 2).transpose(2, 0, 1)
+        fc = values[8 * n:, None]
+        return np.where(forward, (-3 * fc + 4 * fa - fb) / (2 * h),
+                        np.where(backward, (3 * fc - 4 * fa + fb) / (2 * h),
+                                 (fa - fb) / np.where(central, 2 * h, a - b)))
 
 
 class AnalyticField(AlphaField):
     """Field given by a callable alpha(p), with an optional analytic gradient."""
 
     def __init__(self, alpha_fn: Callable, grad_fn: Callable | None = None,
-                 domain=None, richardson: bool = False,
-                 fd_scale: float = _REL_FD_STEP):
+                 domain=None, fd_scale: float = _REL_FD_STEP):
         self._alpha_fn = alpha_fn
         self._grad_fn = grad_fn
-        self._richardson = richardson
         self.fd_scale = fd_scale
         if domain is not None:
             lo, hi = (np.asarray(domain[0], dtype=float), np.asarray(domain[1], dtype=float))
             self.domain = (lo, hi)
 
-    def alpha(self, p) -> float:
-        p = self._require_inside(p)
-        return float(self._alpha_fn(p))
+    def _alpha_rows(self, rows):
+        return np.fromiter(map(self._alpha_fn, rows), float, len(rows))
 
-    def gradient(self, p) -> np.ndarray:
-        p = self._require_inside(p)
-        if self._grad_fn is not None:
-            return np.asarray(self._grad_fn(p), dtype=float)
-        g = self._fd_gradient(p)
-        if self._richardson:
-            fine = np.empty(4)
-            steps = self._fd_steps(p)
-            for mu in range(4):
-                fine[mu] = self._fd_axis(p, mu, steps[mu] / 2)
-            g = (4 * fine - g) / 3
-        return g
+    def _gradient_rows(self, rows):
+        if self._grad_fn is None:
+            return super()._gradient_rows(rows)
+        return np.fromiter(map(self._grad_fn, rows), _VECTOR, len(rows))
 
 
 class ConstantField(AnalyticField):
@@ -160,26 +176,22 @@ class GridField(AlphaField):
         self.spacing = np.asarray(spacing, dtype=float)
         if np.any(self.spacing <= 0):
             raise ValueError("grid spacing must be positive on every axis")
-        hi = self.origin + self.spacing * (np.array(self.samples.shape) - 1)
+        sizes = np.array(self.samples.shape)
+        hi = self.origin + self.spacing * (sizes - 1)
         self.domain = (self.origin.copy(), hi)
+        self._last_cell, self._last_index = sizes - 2, sizes - 1
 
-    def alpha(self, p) -> float:
-        p = self._require_inside(p)
+    def _alpha_rows(self, rows):
         # fractional index per axis, clamped so the top edge stays in the last cell
-        frac = (p - self.origin) / self.spacing
-        i0 = np.minimum(frac.astype(int), np.array(self.samples.shape) - 2)
-        i0 = np.maximum(i0, 0)
-        w = frac - i0
-        total = 0.0
-        for corner in range(16):
-            bits = [(corner >> k) & 1 for k in range(4)]
-            weight = 1.0
-            for ax, bit in enumerate(bits):
-                weight *= w[ax] if bit else (1.0 - w[ax])
-            if weight != 0.0:
-                idx = tuple(i0[ax] + bits[ax] for ax in range(4))
-                total += weight * self.samples[idx]
-        return float(total)
+        frac = (rows - self.origin) / self.spacing
+        i0 = np.maximum(np.minimum(frac.astype(int), self._last_cell), 0)
+        w = (frac - i0)[:, None, :]
+        weights = np.where(_CORNERS, w, 1.0 - w).prod(axis=2)
+        # an axis of one sample has no upper corner; its weight there is 0
+        corners = np.minimum(i0[:, None, :] + _CORNERS, self._last_index)
+        values = self.samples[tuple(corners.transpose(2, 0, 1))]
+        # summed corner by corner in a fixed order, so a row does not depend on its batch
+        return np.add.accumulate(weights * values, axis=1)[:, -1]
 
     def _fd_steps(self, p: np.ndarray) -> np.ndarray:
         return self.spacing.copy()
@@ -207,26 +219,15 @@ class GridField(AlphaField):
             ([v] for v in self.samples.ravel())))
 
 
-class TimeOnlyField(AlphaField):
+class TimeOnlyField(AnalyticField):
     """alpha depends on coordinate time only: alpha(p) = alpha_t(p[0])."""
 
     def __init__(self, alpha_t: Callable, rate_t: Callable | None = None, t_domain=None):
-        self._alpha_t = alpha_t
-        self._rate_t = rate_t
-        if t_domain is not None:
-            lo = spacetime_point(t_domain[0], -np.inf, -np.inf, -np.inf)
-            hi = spacetime_point(t_domain[1], np.inf, np.inf, np.inf)
-            self.domain = (lo, hi)
-
-    def alpha(self, p) -> float:
-        p = self._require_inside(p)
-        return float(self._alpha_t(p[0]))
-
-    def gradient(self, p) -> np.ndarray:
-        p = self._require_inside(p)
-        if self._rate_t is not None:
-            return np.array([float(self._rate_t(p[0])), 0.0, 0.0, 0.0])
-        return np.array([self._fd_axis(p, 0, self._fd_steps(p)[0]), 0.0, 0.0, 0.0])
+        grad = None if rate_t is None else (lambda p: (rate_t(p[0]), 0.0, 0.0, 0.0))
+        domain = None if t_domain is None else (
+            spacetime_point(t_domain[0], -np.inf, -np.inf, -np.inf),
+            spacetime_point(t_domain[1], np.inf, np.inf, np.inf))
+        super().__init__(lambda p: alpha_t(p[0]), grad, domain)
 
 
 # -- operations -----------------------------------------------------------
@@ -262,6 +263,28 @@ def _quad_nodes(lo: float, hi: float, n: int, method: str):
     raise ValueError(f"unknown quadrature method {method!r}")
 
 
+def _tensor_quadrature(f, field: AlphaField, x_ref, anchor, axes, lo, hi, n,
+                       method) -> float:
+    """e^{-alpha(x_ref)} * sum of w e^{alpha} f over the tensor product of the
+    1-D rules on ``axes``, with one field call for x_ref and every node."""
+    x_ref = _as_point(x_ref)
+    base = x_ref if anchor is None else _as_point(anchor)
+    rules = [_quad_nodes(float(a), float(b), int(n), method) for a, b in zip(lo, hi)]
+    coords = np.stack(np.meshgrid(*(ys for ys, _ in rules), indexing="ij"),
+                      axis=-1).reshape(-1, len(axes))
+    weights = functools.reduce(np.multiply.outer, (w for _, w in rules)).ravel()
+    points = np.vstack([x_ref, np.broadcast_to(base, (len(coords), 4))])
+    points[1:, axes] = coords
+    alpha = field.alpha(points)
+    values = np.fromiter(map(f, coords), float, len(coords))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.exp(alpha[1:]) * values
+    bad = ~np.isfinite(g)
+    if bad.any():
+        raise NonFiniteIntegrand(f"integrand not finite at {coords[bad][0]}")
+    return math.exp(-alpha[0]) * float(np.sum(weights * g))
+
+
 def scaled_integral(f, field: AlphaField, x_ref, lo, hi, n=256,
                     method="simpson", axis=1, anchor=None) -> float:
     """Transport-corrected line integral along one coordinate axis.
@@ -271,45 +294,19 @@ def scaled_integral(f, field: AlphaField, x_ref, lo, hi, n=256,
     (default: x_ref) and f takes the scalar coordinate. The field weight is
     evaluated at every quadrature node, not at panel centers of f alone.
     """
-    x_ref = _as_point(x_ref)
-    base = x_ref if anchor is None else _as_point(anchor)
-    ys, weights = _quad_nodes(float(lo), float(hi), int(n), method)
-    total = 0.0
-    for yv, w in zip(ys, weights):
-        p = base.copy()
-        p[axis] = yv
-        g = math.exp(field.alpha(p)) * f(yv)
-        if not math.isfinite(g):
-            raise NonFiniteIntegrand(f"integrand not finite at {yv}")
-        total += w * g
-    return math.exp(-field.alpha(x_ref)) * total
+    return _tensor_quadrature(lambda q: f(q[0]), field, x_ref, anchor, [axis],
+                              [lo], [hi], n, method)
 
 
 def scaled_integral_3d(f, field: AlphaField, x_ref, lo, hi, n=32,
                        method="simpson", anchor=None) -> float:
-    """Transport-corrected volume integral over a spatial box at fixed time.
+    """Transport-corrected volume integral over a spatial box at fixed time:
+    the three-axis case of :func:`scaled_integral`.
 
     ``lo``/``hi`` are 3-vectors over axes (x, y, z); the time slice is taken
     from ``anchor`` (default: x_ref); f takes a 3-vector.
     """
-    x_ref = _as_point(x_ref)
-    base = x_ref if anchor is None else _as_point(anchor)
-    nodes, weights = [], []
-    for ax in range(3):
-        ys, w = _quad_nodes(float(lo[ax]), float(hi[ax]), int(n), method)
-        nodes.append(ys)
-        weights.append(w)
-    total = 0.0
-    for i, wx in enumerate(weights[0]):
-        for j, wy in enumerate(weights[1]):
-            for k, wz in enumerate(weights[2]):
-                p = base.copy()
-                p[1:] = nodes[0][i], nodes[1][j], nodes[2][k]
-                g = math.exp(field.alpha(p)) * f(p[1:])
-                if not math.isfinite(g):
-                    raise NonFiniteIntegrand(f"integrand not finite at {p[1:]}")
-                total += wx * wy * wz * g
-    return math.exp(-field.alpha(x_ref)) * total
+    return _tensor_quadrature(f, field, x_ref, anchor, [1, 2, 3], lo, hi, n, method)
 
 
 def covariant_derivative(f, field: AlphaField, y, mu: int, coupling: float = 1.0,

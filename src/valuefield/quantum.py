@@ -27,7 +27,7 @@ from scipy.linalg import solve_banded
 
 from ._csv import write_csv
 from .errors import NotNormalized, StepUnstable
-from .field import AlphaField, _as_point
+from .field import AlphaField
 
 NORMALIZATION_TOL = 1e-12
 
@@ -59,7 +59,10 @@ class WaveFunction1D:
         return float(np.sum(np.abs(self.psi) ** 2) * self.dy)
 
     def normalized(self) -> "WaveFunction1D":
-        return WaveFunction1D(self.y, self.psi / math.sqrt(self.norm_sq()), self.t)
+        nrm = self.norm_sq()
+        if not 0.0 < nrm < math.inf:
+            raise NotNormalized(f"cannot normalize: norm^2 = {nrm!r} at t = {self.t!r}")
+        return WaveFunction1D(self.y, self.psi / math.sqrt(nrm), self.t)
 
     def probability_density(self) -> np.ndarray:
         return np.abs(self.psi) ** 2
@@ -205,10 +208,9 @@ def position_expectation(psi: WaveFunction1D, field: AlphaField, x_ref) -> float
     nrm = psi.norm_sq()
     if abs(nrm - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"norm^2 = {nrm!r} differs from 1 beyond {NORMALIZATION_TOL}")
-    x_ref = _as_point(x_ref)
-    weights = np.array([
-        math.exp(field.alpha(np.array([psi.t, yv, 0.0, 0.0]))) for yv in psi.y
-    ])
+    points = np.zeros((psi.y.size, 4))
+    points[:, 0], points[:, 1] = psi.t, psi.y
+    weights = np.exp(field.alpha(points))
     total = float(np.sum(weights * psi.y * psi.probability_density()) * psi.dy)
     return math.exp(-field.alpha(x_ref)) * total
 

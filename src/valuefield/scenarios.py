@@ -472,9 +472,13 @@ def scenario_cosmology(p: dict, out_dir: Path) -> RunReport:
 # -- bound-check --------------------------------------------------------------
 
 
+_PROFILE_AGE_S = cos.CosmologyParams().t_now_s  # the window must start after s = 0
+
+
 @_scenario("bound-check", {
     "h0_kms_mpc": Param(float, "70", *_POSITIVE),
-    "window_s": Param(float, "499.0", *_POSITIVE),
+    "window_s": Param(float, "499.0", lambda v: 0 < v < _PROFILE_AGE_S,
+                      f"must lie in (0, {_PROFILE_AGE_S!r}), the profile age in s"),
     "eps": Param(float, "1e-10", *_POSITIVE),
 })
 def scenario_bound_check(p: dict, out_dir: Path) -> RunReport:

@@ -123,6 +123,8 @@ class TestExitCodes:
         ("geodesic", "geodesic.alpha_const=nan", 2),
         ("cosmology", "cosmology.h0_kms_mpc=inf", 2),
         ("cosmology", "cosmology.s_rm_kyr=-1", 2),
+        ("bound-check", "bound-check.window_s=1e30", 2),
+        ("bound-check", "bound-check.window_s=4.4e17", 2),  # just over the profile age
         ("field-calculus", "field-calculus.k=1e3", 3),  # exp overflows mid-run
     ])
     def test_bad_input_exit_code_without_traceback(self, tmp_path, capsys,
@@ -136,12 +138,13 @@ class TestExitCodes:
             assert captured.err.startswith("run error: OverflowError: ")
             assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("scenario, override", [
-        ("schrodinger", "schrodinger.dt=1e6"),
-        ("geodesic", "geodesic.c=1e-300"),
-        ("field-calculus", "field-calculus.sigma=1e-300"),
-    ])
-    def test_floating_point_error_is_one_line(self, tmp_path, scenario, override):
+    @pytest.mark.parametrize("scenario, override, error", [
+        ("schrodinger", "schrodinger.dt=1e6", "NotNormalized"),  # the damped norm vanishes
+        ("geodesic", "geodesic.c=1e-300", "FloatingPointError"),
+        ("field-calculus", "field-calculus.sigma=1e-300", "FloatingPointError"),
+    ], ids=["schrodinger-schrodinger.dt=1e6", "geodesic-geodesic.c=1e-300",
+            "field-calculus-field-calculus.sigma=1e-300"])
+    def test_floating_point_error_is_one_line(self, tmp_path, scenario, override, error):
         # a child process, so that NumPy warnings reach stderr as a user sees them
         cfg = write_config(tmp_path, scenario)
         env = {**os.environ, "PYTHONPATH": str(Path(valuefield.__file__).parents[1])}
@@ -150,7 +153,7 @@ class TestExitCodes:
              "--out", str(tmp_path / "out"), "--set", override],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 3
-        assert proc.stderr.startswith("run error: FloatingPointError: ")
+        assert proc.stderr.startswith(f"run error: {error}: ")
         assert proc.stderr.count("\n") == 1
         assert "Warning" not in proc.stderr
 

@@ -422,6 +422,16 @@ class TestBoundCheck:
         dev, ok = local_bound_check(ConstantField(5.0), region)
         assert dev == 0.0 and ok
 
+    @pytest.mark.parametrize("alpha_fn", [
+        lambda p: math.nan if p[1] > 0.5 else 0.0,
+        lambda p: math.nan,
+    ], ids=["nan-inside", "all-nan"])
+    def test_nan_alpha_fails_the_check(self, alpha_fn):
+        from valuefield.field import AnalyticField
+        region = (spacetime_point(0, 0, 0, 0), spacetime_point(1, 1, 1, 1))
+        dev, ok = local_bound_check(AnalyticField(alpha_fn), region)
+        assert math.isnan(dev) and not ok
+
 
 class TestCsvExports:
     def test_profile_export(self, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -76,12 +77,12 @@ class TestGradientAt:
         assert np.all(g[1:] == 0.0)
 
     def test_finite_difference_second_order(self):
-        fld = AnalyticField(lambda p: math.sin(p[1]) + 0.5 * p[0] ** 2)
         exact = np.array([0.6, math.cos(0.8), 0.0, 0.0])
-        p = spacetime_point(0.6, 0.8)
+        p = spacetime_point(0.6, 0.8)  # |p_mu| <= 1, so the step is fd_scale on every axis
         errs = []
         for h in (1e-2, 5e-3, 2.5e-3):
-            num = np.array([fld._fd_axis(p, mu, h) for mu in range(4)])
+            fld = AnalyticField(lambda p: math.sin(p[1]) + 0.5 * p[0] ** 2, fd_scale=h)
+            num = fld.gradient(p)
             errs.append(np.max(np.abs(num - exact)))
         order = math.log(errs[0] / errs[2]) / math.log(4.0)
         assert order >= 1.9
@@ -111,16 +112,72 @@ class TestGradientAt:
         g = fld.gradient(spacetime_point(0.5, 0.3, 0.5, 0.5))
         assert g[1] == pytest.approx(2.0 * math.cos(0.6), rel=5e-3)
 
-    def test_richardson_refinement(self):
-        # step large enough that truncation dominates roundoff
-        plain = AnalyticField(lambda p: math.exp(0.3 * p[1]), fd_scale=1e-3)
-        refined = AnalyticField(lambda p: math.exp(0.3 * p[1]), richardson=True,
-                                fd_scale=1e-3)
-        p = spacetime_point(0, 1.2)
-        exact = 0.3 * math.exp(0.36)
-        err_plain = abs(plain.gradient(p)[1] - exact)
-        err_ref = abs(refined.gradient(p)[1] - exact)
-        assert err_ref < err_plain / 100
+
+def _grid_with_one_cell_axis():
+    rng = np.random.default_rng(11)
+    return GridField(rng.normal(size=(3, 2, 4, 3)), (0.0, -1.0, 0.5, 0.0),
+                     (0.5, 0.25, 1.0, 0.75))
+
+
+@pytest.mark.parametrize("fld", [
+    _grid_with_one_cell_axis(),
+    AnalyticField(lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]),
+                  domain=((0.0, -1.0, 0.5, 0.0), (1.0, -0.75, 3.5, 1.5))),
+    AnalyticField(lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]),
+                  lambda p: np.cos(p @ [0.1, 0.7, -0.3, 0.2]) * np.array([0.1, 0.7, -0.3, 0.2])),
+    ConstantField(0.4),
+    TimeOnlyField(lambda s: 0.2 * s ** 2, t_domain=(0.0, 1.0)),
+    TimeOnlyField(lambda s: 0.2 * s ** 2, lambda s: 0.4 * s),
+], ids=["grid", "analytic-fd", "analytic-grad", "constant", "time-only-fd", "time-only-rate"])
+def test_batch_rows_equal_single_point_calls(fld):
+    rng = np.random.default_rng(5)
+    # the one-cell-axis grid's box; every other field accepts these points too
+    lo, hi = np.array([0.0, -1.0, 0.5, 0.0]), np.array([1.0, -0.75, 3.5, 1.5])
+    pts = np.vstack([lo + (hi - lo) * rng.random((40, 4)),
+                     lo, hi,                                   # all-walls corners
+                     np.where(np.arange(4) == 2, hi, lo + 0.3 * (hi - lo))])  # top edge
+    alphas, grads = fld.alpha(pts), fld.gradient(pts)
+    assert alphas.shape == (len(pts),) and grads.shape == (len(pts), 4)
+    for p, a, g in zip(pts, alphas, grads):
+        assert np.float64(fld.alpha(p)).tobytes() == a.tobytes()
+        assert fld.gradient(p).tobytes() == g.tobytes()
+
+
+def test_grid_alpha_matches_corner_loop_reference():
+    fld = _grid_with_one_cell_axis()
+    lo, hi = fld.domain
+    rng = np.random.default_rng(2)
+    pts = np.vstack([lo + (hi - lo) * rng.random((200, 4)),
+                     np.where(rng.random((20, 4)) < 0.5, lo, hi)])  # walls and corners
+    scale = np.max(np.abs(fld.samples))
+    for p, got in zip(pts, fld.alpha(pts)):
+        frac = (p - lo) / fld.spacing
+        i0 = np.clip(frac.astype(int), 0, np.array(fld.samples.shape) - 2)
+        w = frac - i0
+        want = 0.0
+        for bits in itertools.product((0, 1), repeat=4):
+            weight = np.prod([wk if b else 1.0 - wk for wk, b in zip(w, bits)])
+            want += weight * fld.samples[tuple(i0 + bits)]
+        assert abs(got - want) <= 1e-14 * scale
+
+
+def test_batch_with_one_point_outside_raises():
+    fld = _grid_with_one_cell_axis()
+    lo, hi = fld.domain
+    pts = np.vstack([lo, hi, hi + [0.0, 0.0, 0.0, 1e-9]])
+    with pytest.raises(OutOfDomain):
+        fld.alpha(pts)
+    with pytest.raises(OutOfDomain):
+        fld.gradient(pts)
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), (2, 5), (2, 2, 4), ()])
+def test_other_input_shapes_raise_value_error(shape):
+    fld = AnalyticField(lambda p: p[1])
+    with pytest.raises(ValueError):
+        fld.alpha(np.zeros(shape))
+    with pytest.raises(ValueError):
+        fld.gradient(np.zeros(shape))
 
 
 class TestTransport:

@@ -38,6 +38,18 @@ class TestWaveFunction:
         with pytest.raises(ValueError):
             WaveFunction1D(y, np.array([1.0, float("nan"), 0.0], dtype=complex))
 
+    def test_vanished_norm_is_not_normalized(self):
+        # damping e^{-a0 dt} underflows to zero over one huge step
+        psi = evolve(gaussian_packet(grid(), sigma=1.0), HamiltonianSpec(),
+                     TimeScaling.constant(0.25), 1e6, 1)
+        with pytest.raises(NotNormalized, match=r"norm\^2 = 0\.0"):
+            psi.normalized()
+
+    def test_infinite_norm_is_not_normalized(self):
+        psi = WaveFunction1D(grid(4), np.full(4, 1e200, dtype=complex))
+        with np.errstate(over="ignore"), pytest.raises(NotNormalized, match="inf"):
+            psi.normalized()
+
 
 class TestTimeScaling:
     def test_constant_rate(self):
