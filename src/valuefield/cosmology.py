@@ -37,7 +37,7 @@ def h0_convert(h0_kms_mpc: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CosmologyParams:
-    """Present-day cosmological parameters; flat (Omega sum 1) by default."""
+    """Present-day cosmological parameters of a flat universe (Omega sum 1)."""
 
     h0_kms_mpc: float = 70.0
     omega_m: float = 0.3
@@ -47,7 +47,6 @@ class CosmologyParams:
     c: float = C_M_PER_S
     t_now_yr: float = 13.8e9
     lam: float | None = None   # cosmological constant, 1/m^2
-    require_flat: bool = True
 
     def __post_init__(self):
         if not self.h0_kms_mpc > 0:
@@ -55,22 +54,17 @@ class CosmologyParams:
         for name in ("omega_m", "omega_r", "omega_v"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.require_flat:
-            total = self.omega_m + self.omega_r + self.omega_v
-            if abs(total - 1.0) > _FLATNESS_TOL:
-                raise ValueError(
-                    f"flat universe needs omega_m+omega_r+omega_v = 1, got {total!r}"
-                )
+        total = self.omega_m + self.omega_r + self.omega_v
+        if abs(total - 1.0) > _FLATNESS_TOL:
+            raise ValueError(
+                f"flat universe needs omega_m+omega_r+omega_v = 1, got {total!r}"
+            )
         if self.t_now_yr <= 0:
             raise ValueError("t_now must be positive")
 
     @property
     def h0_per_s(self) -> float:
         return h0_convert(self.h0_kms_mpc)[1]
-
-    @property
-    def h0_per_yr(self) -> float:
-        return h0_convert(self.h0_kms_mpc)[0]
 
     @property
     def t_now_s(self) -> float:

@@ -102,8 +102,11 @@ def eta_norm(u) -> float:
 
 def geodesic_rhs(field: AlphaField, state: GeodesicState, c: float) -> np.ndarray:
     """du/dtau for a free particle (or light ray) in the scaled geometry."""
-    a = a_per_meter(field, state.p, c)
-    u = state.u
+    return _geodesic_du(field, state.p, state.u, c)
+
+
+def _geodesic_du(field: AlphaField, p: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
+    a = a_per_meter(field, p, c)
     au = float(a @ u)
     q2 = -eta_norm(u)  # c^2 on massive paths, 0 on null paths
     return -au * u + 0.5 * ETA * a * q2
@@ -131,12 +134,39 @@ class Trajectory:
                   table)
 
 
-def _rk4(f, y, h):
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
+    """Fixed-step RK4 states y[0..n] over cfg.span and the largest accepted
+    drift. ``monitor(y0)`` returns ``drift(y)``; a step whose drift is not
+    <= cfg.norm_check_tol (NaN included) is retried as two half steps, up to
+    cfg.max_halvings levels deep, and reports the drift of its last half."""
+    def advance(y, h, depth):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        ynew = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(ynew)):
+            raise StepUnstable(f"non-finite state during {what} step")
+        d = drift(ynew)
+        if not (d <= cfg.norm_check_tol):  # NaN drift fails too
+            if depth >= cfg.max_halvings:
+                raise StepUnstable(f"conservation drift {d:.3e} exceeds tolerance "
+                                   f"{cfg.norm_check_tol:.3e} at minimum step")
+            y, _ = advance(y, h / 2, depth + 1)
+            return advance(y, h / 2, depth + 1)
+        return ynew, d
+
+    ys = np.empty((max(1, round(cfg.span / cfg.step)) + 1, y0.size))
+    ys[0] = y0
+    drift_max = 0.0
+    try:
+        drift = monitor(y0)  # its field calls map to LeftDomain too
+        for i in range(1, len(ys)):
+            ys[i], d = advance(ys[i - 1], cfg.step, 0)
+            drift_max = max(drift_max, d)
+    except OutOfDomain as exc:
+        raise LeftDomain(f"{what} trajectory left the field domain: {exc}") from exc
+    return ys, drift_max
 
 
 def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorConfig,
@@ -150,51 +180,18 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
     """
     def rhs(yv):
         p, u = yv[:4], yv[4:]
-        st = GeodesicState(p, u)
-        du = geodesic_rhs(field, st, c)
         dp = np.array([u[0] / c, u[1], u[2], u[3]])
-        return np.concatenate([dp, du])
+        return np.concatenate([dp, _geodesic_du(field, p, u, c)])
 
-    try:
-        alpha0 = field.alpha(init.p)
-        q0 = eta_norm(init.u)
-        scale = max(abs(q0), float(init.u[0]) ** 2)
-        n_steps = max(1, round(cfg.span / cfg.step))
-        taus = [0.0]
-        ps = [init.p.copy()]
-        us = [init.u.copy()]
-        y = np.concatenate([init.p, init.u])
-        drift_max = 0.0
+    def monitor(y0):
+        alpha0, q0 = field.alpha(y0[:4]), eta_norm(y0[4:])
+        scale = max(abs(q0), float(y0[4]) ** 2)
+        return lambda yv: abs(
+            np.exp(3.0 * (field.alpha(yv[:4]) - alpha0)) * eta_norm(yv[4:]) - q0) / scale
 
-        def conserved(yv):
-            return np.exp(3.0 * (field.alpha(yv[:4]) - alpha0)) * eta_norm(yv[4:])
-
-        def advance(yv, h, depth):
-            """(state after step h, its drift); the drift is the last substep's."""
-            ynew = _rk4(rhs, yv, h)
-            if not np.all(np.isfinite(ynew)):
-                raise StepUnstable("non-finite state during geodesic step")
-            drift = abs(conserved(ynew) - q0) / scale
-            if not (drift <= cfg.norm_check_tol):  # NaN drift fails too
-                if depth >= cfg.max_halvings:
-                    raise StepUnstable(
-                        f"conservation drift {drift:.3e} exceeds tolerance "
-                        f"{cfg.norm_check_tol:.3e} at minimum step"
-                    )
-                yv, _ = advance(yv, h / 2, depth + 1)
-                return advance(yv, h / 2, depth + 1)
-            return ynew, drift
-
-        for i in range(n_steps):
-            y, drift = advance(y, cfg.step, 0)
-            drift_max = max(drift_max, drift)
-            taus.append((i + 1) * cfg.step)
-            ps.append(y[:4].copy())
-            us.append(y[4:].copy())
-    except OutOfDomain as exc:
-        raise LeftDomain(f"geodesic left the field domain: {exc}") from exc
-
-    return Trajectory(np.array(taus), np.array(ps), np.array(us), drift_max)
+    ys, drift = _rk4_path(rhs, np.concatenate([init.p, init.u]), cfg, monitor, "geodesic")
+    return Trajectory(cfg.step * np.arange(len(ys), dtype=float), ys[:, :4], ys[:, 4:],
+                      drift)
 
 
 # -- coordinate-time form and energy --------------------------------------
@@ -205,7 +202,8 @@ def coordinate_time_rhs(field: AlphaField, p, dpds, gamma: float,
     """d/ds of (gamma * dp^mu/ds), the coordinate-time form of the geodesic
     equation: -A_nu gamma dpds^nu dpds^mu + (1/2) etainv_mu A_mu c^2 / gamma."""
     if gamma < 1.0:
-        raise ValueError("gamma must be >= 1")
+        raise InvalidEnergy(f"gamma = {gamma!r} < 1 at coordinate time t = {p[0]!r}: "
+                            "the particle cannot climb the field")
     c = particle.c
     a = a_per_meter(field, p, c)
     dpds = np.asarray(dpds, dtype=float)
@@ -277,22 +275,12 @@ def integrate_coordinate(field: AlphaField, p0, v0, particle: ParticleSpec,
         dw = coordinate_time_rhs(field, p, dpds, gamma, particle)
         return np.concatenate([[1.0], v, dw])
 
-    n_steps = max(1, round(cfg.span / cfg.step))
-    y = np.concatenate([[0.0], p0[1:], gamma0 * np.array([c, *v0])])
-    ss = [0.0]
-    ps = [p0.copy()]
-    vs = [v0.copy()]
-    gs = [gamma0]
-    try:
-        for _ in range(n_steps):
-            y = _rk4(rhs, y, cfg.step)
-            if not np.all(np.isfinite(y)):
-                raise StepUnstable("non-finite state during coordinate-time step")
-            gamma = y[4] / c
-            ss.append(y[0])
-            ps.append(np.array([t0 + y[0], y[1], y[2], y[3]]))
-            vs.append(y[5:] / gamma)
-            gs.append(gamma)
-    except OutOfDomain as exc:
-        raise LeftDomain(f"trajectory left the field domain: {exc}") from exc
-    return CoordinateTrajectory(np.array(ss), np.array(ps), np.array(vs), np.array(gs))
+    y0 = np.concatenate([[0.0], p0[1:], gamma0 * np.array([c, *v0])])
+    # nothing is monitored: a drift of 0.0 accepts every step at full size
+    ys, _ = _rk4_path(rhs, y0, cfg, lambda _: lambda _: 0.0, "coordinate-time")
+    gamma = ys[:, 4] / c
+    p = np.column_stack([t0 + ys[:, 0], ys[:, 1:4]])
+    v = ys[:, 5:] / gamma[:, None]
+    # row 0 is the input itself, not its round trip through the packed state
+    p[0], v[0], gamma[0] = p0, v0, gamma0
+    return CoordinateTrajectory(ys[:, 0], p, v, gamma)

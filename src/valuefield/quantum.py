@@ -18,6 +18,7 @@ finite-difference one a Dirichlet tridiagonal stencil.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -182,7 +183,9 @@ def schrodinger_step(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeSca
     out = damping * cn.apply(psi.psi)
     if not np.all(np.isfinite(out.view(float))):
         raise StepUnstable("non-finite amplitudes after step")
-    return WaveFunction1D(psi.y, out, psi.t + dt)
+    step = copy.copy(psi)  # no re-check: psi's grid is unchanged and out is finite
+    step.psi, step.t = out, psi.t + dt
+    return step
 
 
 def evolve(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,

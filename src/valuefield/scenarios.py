@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -194,6 +195,18 @@ def scenario_arithmetic_check(p: dict, out_dir: Path) -> RunReport:
 
 
 # -- field-calculus ---------------------------------------------------------
+
+
+def _field_calculus_consistency(p: dict) -> list[str]:
+    """e^{k y} must stay finite on y0 +- 12 sigma, between the identity checks'
+    points in [-1, 1] (up to e^{2|k|}) and in the closed form of the integral.
+    The first test runs first: passing it keeps (k*sigma)**2 finite."""
+    k, y0, sigma, top = p["k"], p["y0"], p["sigma"], math.log(sys.float_info.max)
+    if (abs(k) * max(abs(y0) + 12 * sigma, 2.0) <= top
+            and k * y0 + 0.5 * (k * sigma) ** 2 <= top):
+        return []
+    return [f"field-calculus.k: e^(k*y) overflows; needs |k|*max(|y0| + 12*sigma, 2) "
+            f"and k*y0 + (k*sigma)^2/2 <= {top:.6g}"]
 
 
 @_scenario("field-calculus", {
@@ -390,7 +403,7 @@ def _cosmology_consistency(p: dict) -> list[str]:
     return diags
 
 
-_CONSISTENCY = {"cosmology": _cosmology_consistency}
+_CONSISTENCY = {"field-calculus": _field_calculus_consistency, "cosmology": _cosmology_consistency}
 
 
 @_scenario("cosmology", {

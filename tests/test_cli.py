@@ -72,6 +72,16 @@ class TestValidate:
         cfg = load_config(path)
         assert cfg["output"]["dir"] == "50%out" and validate_config(cfg) == []
 
+    def test_field_calculus_k_bounded_by_identity_points(self, tmp_path):
+        # the quadrature interval is narrow here; the transport between the
+        # identity checks' points in [-1, 1] is what overflows first
+        for k, ok in (("354", True), ("-354", True), ("355", False), ("-355", False)):
+            cfg = load_config(write_config(tmp_path, "field-calculus",
+                                           {"k": k, "sigma": "0.01"}))
+            diags = validate_config(cfg)
+            assert (diags == []) == ok
+            assert all(d.startswith("field-calculus.k: ") for d in diags)
+
     def test_unknown_key(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "bound-check", {"volume": "12"}))
         diags = validate_config(cfg)
@@ -125,7 +135,9 @@ class TestExitCodes:
         ("cosmology", "cosmology.s_rm_kyr=-1", 2),
         ("bound-check", "bound-check.window_s=1e30", 2),
         ("bound-check", "bound-check.window_s=4.4e17", 2),  # just over the profile age
-        ("field-calculus", "field-calculus.k=1e3", 3),  # exp overflows mid-run
+        ("field-calculus", "field-calculus.k=1e3", 2),  # e^(k*y) would overflow
+        ("field-calculus", "field-calculus.k=100", 2),  # the closed form would overflow
+        ("field-calculus", "field-calculus.k=-100", 2),
     ])
     def test_bad_input_exit_code_without_traceback(self, tmp_path, capsys,
                                                    scenario, override, code):

@@ -5,7 +5,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from valuefield.errors import InvalidEnergy, LeftDomain
-from valuefield.field import AnalyticField, ConstantField, spacetime_point
+from valuefield.field import AnalyticField, ConstantField, TimeOnlyField, spacetime_point
 from valuefield.geometry import (
     GeodesicState,
     IntegratorConfig,
@@ -228,6 +228,33 @@ class TestCoordinateTime:
         mask = tt <= proper.p[-1, 0]
         err = np.max(np.abs(x_of_t(tt[mask]) - coord.p[mask, 1]))
         assert err <= 1e-6 * np.max(np.abs(coord.p[mask, 1]))
+
+    def test_particle_that_cannot_climb_is_invalid_energy(self):
+        # a rest particle in a rising alpha(t) loses energy below its rest energy
+        fld = TimeOnlyField(lambda t: 1e-2 * t, lambda t: 1e-2)
+        with pytest.raises(InvalidEnergy, match="gamma"):
+            integrate_coordinate(fld, spacetime_point(), np.zeros(3), ParticleSpec(1.0, 10.0),
+                                 IntegratorConfig(step=0.1, span=1.0))
+
+    def test_first_row_is_the_input_at_si_c(self):
+        # gamma0*v0 / (gamma0*c/c) is not always v0 to the bit at c = 299792458
+        rng = np.random.default_rng(7)
+        part = ParticleSpec(1.0, 299792458.0)
+        for _ in range(20):
+            p0 = rng.uniform(-1.0, 1.0, 4)
+            v0 = rng.uniform(-0.5, 0.5, 3) * part.c
+            gamma0 = 1.0 / np.sqrt(1.0 - float(v0 @ v0) / part.c ** 2)
+            tr = integrate_coordinate(ConstantField(0.2), p0, v0, part,
+                                      IntegratorConfig(step=1e-3, span=2e-3))
+            assert np.array_equal(tr.p[0], p0) and np.array_equal(tr.v[0], v0)
+            assert tr.gamma[0] == gamma0
+
+    def test_leaves_domain(self):
+        dom = (spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))
+        fld = AnalyticField(lambda p: 0.0, lambda p: np.zeros(4), domain=dom)
+        with pytest.raises(LeftDomain):
+            integrate_coordinate(fld, spacetime_point(), np.array([0.5, 0, 0]),
+                                 ParticleSpec(1.0, C_DESK), IntegratorConfig(step=0.1, span=10.0))
 
 
 class TestEnergyRate:
