@@ -3,7 +3,9 @@
 Floats (NumPy's included) are written as the shortest text that reads back
 to the same double, booleans as ``true``/``false``; any other cell (int,
 Fraction, str) keeps the csv module's ``str``. Rows are consumed one at a
-time, so a generator never materializes the whole table.
+time, so a generator never materializes the whole table. A 2-D float64
+array skips the per-cell dispatch: each row becomes Python floats, which
+csv already writes as their ``repr``, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -30,4 +32,7 @@ def write_csv(target, header, rows) -> None:
         return
     writer = csv.writer(target)
     writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        writer.writerows(map(np.ndarray.tolist, rows))
+    else:
+        writer.writerows([_cell(v) for v in row] for row in rows)

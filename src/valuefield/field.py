@@ -155,12 +155,17 @@ class AnalyticField(AlphaField):
         return np.fromiter(map(self._grad_fn, rows), _VECTOR, len(rows))
 
 
-class ConstantField(AnalyticField):
+class ConstantField(AlphaField):
     """Spatially and temporally constant alpha; mathematics is global here."""
 
     def __init__(self, value: float = 0.0):
-        super().__init__(lambda p: value, lambda p: np.zeros(4))
         self.value = value
+
+    def _alpha_rows(self, rows):
+        return np.full(len(rows), float(self.value))
+
+    def _gradient_rows(self, rows):
+        return np.zeros((len(rows), 4))
 
 
 class GridField(AlphaField):

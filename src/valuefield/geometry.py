@@ -17,6 +17,7 @@ the per-meter component used in contractions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,10 @@ class IntegratorConfig:
     max_halvings: int = 10
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        for name in ("step", "span"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,14 +105,18 @@ def eta_norm(u) -> float:
 
 def geodesic_rhs(field: AlphaField, state: GeodesicState, c: float) -> np.ndarray:
     """du/dtau for a free particle (or light ray) in the scaled geometry."""
-    return _geodesic_du(field, state.p, state.u, c)
+    return np.array(_geodesic_du(field, state.p, state.u.tolist(), c))
 
 
-def _geodesic_du(field: AlphaField, p: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
-    a = a_per_meter(field, p, c)
-    au = float(a @ u)
-    q2 = -eta_norm(u)  # c^2 on massive paths, 0 on null paths
-    return -au * u + 0.5 * ETA * a * q2
+def _geodesic_du(field: AlphaField, p, u: list, c: float) -> list:
+    """The geodesic equation on floats: four du/dtau from the four floats u."""
+    g0, a1, a2, a3 = field.gradient(p).tolist()
+    a0 = g0 / c  # the per-meter temporal component, as in a_per_meter
+    u0, u1, u2, u3 = u
+    m = -(((a0 * u0 + a1 * u1) + a2 * u2) + a3 * u3)  # -(A . u)
+    q2 = -(((-(u0 * u0) + u1 * u1) + u2 * u2) + u3 * u3)  # c^2 massive, 0 null
+    return [m * u0 - 0.5 * a0 * q2, m * u1 + 0.5 * a1 * q2,
+            m * u2 + 0.5 * a2 * q2, m * u3 + 0.5 * a3 * q2]
 
 
 @dataclass
@@ -138,14 +145,21 @@ def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
     """Fixed-step RK4 states y[0..n] over cfg.span and the largest accepted
     drift. ``monitor(y0)`` returns ``drift(y)``; a step whose drift is not
     <= cfg.norm_check_tol (NaN included) is retried as two half steps, up to
-    cfg.max_halvings levels deep, and reports the drift of its last half."""
+    cfg.max_halvings levels deep, and reports the drift of its last half.
+
+    The state, the stages and their sums are lists of Python floats: ``rhs``
+    and ``drift`` take such a list and ``rhs`` returns one. Float overflow
+    gives inf, not an exception, and the finite check turns it into
+    StepUnstable."""
     def advance(y, h, depth):
+        half, sixth = h / 2, h / 6.0
         k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        ynew = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(ynew)):
+        k2 = rhs([a + half * b for a, b in zip(y, k1)])
+        k3 = rhs([a + half * b for a, b in zip(y, k2)])
+        k4 = rhs([a + h * b for a, b in zip(y, k3)])
+        ynew = [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, ynew)):
             raise StepUnstable(f"non-finite state during {what} step")
         d = drift(ynew)
         if not (d <= cfg.norm_check_tol):  # NaN drift fails too
@@ -157,12 +171,13 @@ def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
         return ynew, d
 
     ys = np.empty((max(1, round(cfg.span / cfg.step)) + 1, y0.size))
-    ys[0] = y0
+    ys[0] = y = y0.tolist()
     drift_max = 0.0
     try:
-        drift = monitor(y0)  # its field calls map to LeftDomain too
+        drift = monitor(y)  # its field calls map to LeftDomain too
         for i in range(1, len(ys)):
-            ys[i], d = advance(ys[i - 1], cfg.step, 0)
+            y, d = advance(y, cfg.step, 0)
+            ys[i] = y
             drift_max = max(drift_max, d)
     except OutOfDomain as exc:
         raise LeftDomain(f"{what} trajectory left the field domain: {exc}") from exc
@@ -178,14 +193,12 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
     when alpha is constant). A step that moves it by more than norm_check_tol
     relative is retried at half the step, up to max_halvings levels deep.
     """
-    def rhs(yv):
-        p, u = yv[:4], yv[4:]
-        dp = np.array([u[0] / c, u[1], u[2], u[3]])
-        return np.concatenate([dp, _geodesic_du(field, p, u, c)])
+    def rhs(y):
+        return [y[4] / c, y[5], y[6], y[7], *_geodesic_du(field, y[:4], y[4:], c)]
 
     def monitor(y0):
         alpha0, q0 = field.alpha(y0[:4]), eta_norm(y0[4:])
-        scale = max(abs(q0), float(y0[4]) ** 2)
+        scale = max(abs(q0), y0[4] ** 2)
         return lambda yv: abs(
             np.exp(3.0 * (field.alpha(yv[:4]) - alpha0)) * eta_norm(yv[4:]) - q0) / scale
 
@@ -264,16 +277,15 @@ def integrate_coordinate(field: AlphaField, p0, v0, particle: ParticleSpec,
     if speed2 >= c ** 2:
         raise ValueError("initial speed must be below c")
     gamma0 = 1.0 / np.sqrt(1.0 - speed2 / c ** 2)
-    t0 = p0[0]
+    t0 = float(p0[0])
 
-    def rhs(yv):
-        s, x, w = yv[0], yv[1:4], yv[4:]
-        gamma = w[0] / c
-        v = w[1:] / gamma
-        p = np.array([t0 + s, x[0], x[1], x[2]])
-        dpds = np.array([c, v[0], v[1], v[2]])
-        dw = coordinate_time_rhs(field, p, dpds, gamma, particle)
-        return np.concatenate([[1.0], v, dw])
+    def rhs(y):
+        s, x1, x2, x3, w0, w1, w2, w3 = y
+        gamma = w0 / c
+        v1, v2, v3 = w1 / gamma, w2 / gamma, w3 / gamma
+        dw = coordinate_time_rhs(field, [t0 + s, x1, x2, x3], [c, v1, v2, v3], gamma,
+                                 particle)
+        return [1.0, v1, v2, v3, *dw.tolist()]
 
     y0 = np.concatenate([[0.0], p0[1:], gamma0 * np.array([c, *v0])])
     # nothing is monitored: a drift of 0.0 accepts every step at full size

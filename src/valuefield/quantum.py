@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ._csv import write_csv
 from .errors import NotNormalized, StepUnstable
@@ -169,6 +168,7 @@ class _CrankNicolson:
         rhs = self.b_diag * psi
         rhs[:-1] += self.b_off * psi[1:]
         rhs[1:] += self.b_off * psi[:-1]
+        from scipy.linalg import solve_banded  # deferred: slow to import, fd only
         return solve_banded((1, 1), self.ab, rhs)
 
 

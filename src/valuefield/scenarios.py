@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import cosmology as cos
 from . import field as vfield
@@ -357,6 +356,7 @@ def _era_ode_exponent(kind: str, params: cos.CosmologyParams):
     Returns (fit value, target value): log-log slope for matter/radiation,
     ln-linear rate for vacuum.
     """
+    from scipy.integrate import solve_ivp  # deferred: slow to import, used only here
     h0 = params.h0_per_s
     if kind == "vacuum":
         t_age = 1.0 / h0

@@ -292,3 +292,13 @@ class TestDemo:
         assert (tmp_path / "report.csv").exists()
         # the emitted config round-trips through validate
         assert main(["validate", str(tmp_path / "field-calculus.cfg")]) == 0
+
+
+def test_importing_the_cli_loads_no_scipy_solver():
+    # scipy.linalg and scipy.integrate are imported where they are used
+    env = {**os.environ, "PYTHONPATH": str(Path(valuefield.__file__).parents[1])}
+    code = ("import sys, valuefield.cli; "
+            "print(sorted({'scipy.linalg', 'scipy.integrate'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

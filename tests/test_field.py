@@ -126,9 +126,12 @@ def _grid_with_one_cell_axis():
     AnalyticField(lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]),
                   lambda p: np.cos(p @ [0.1, 0.7, -0.3, 0.2]) * np.array([0.1, 0.7, -0.3, 0.2])),
     ConstantField(0.4),
+    ConstantField(0),
+    ConstantField(float("nan")),
     TimeOnlyField(lambda s: 0.2 * s ** 2, t_domain=(0.0, 1.0)),
     TimeOnlyField(lambda s: 0.2 * s ** 2, lambda s: 0.4 * s),
-], ids=["grid", "analytic-fd", "analytic-grad", "constant", "time-only-fd", "time-only-rate"])
+], ids=["grid", "analytic-fd", "analytic-grad", "constant", "constant-int", "constant-nan",
+        "time-only-fd", "time-only-rate"])
 def test_batch_rows_equal_single_point_calls(fld):
     rng = np.random.default_rng(5)
     # the one-cell-axis grid's box; every other field accepts these points too

@@ -7,9 +7,11 @@ from scipy.interpolate import CubicSpline
 from valuefield.errors import InvalidEnergy, LeftDomain
 from valuefield.field import AnalyticField, ConstantField, TimeOnlyField, spacetime_point
 from valuefield.geometry import (
+    ETA,
     GeodesicState,
     IntegratorConfig,
     ParticleSpec,
+    a_per_meter,
     coordinate_time_rhs,
     energy_rate,
     eta_norm,
@@ -35,6 +37,47 @@ def space_field(k):
                          lambda p: np.array([0.0, k, 0.0, 0.0]))
 
 
+K_WAVE = np.array([0.3, 0.7, -0.4, 0.5])
+
+
+def wave_field():
+    """alpha = 0.05 sin(k . p): all four gradient components are nonzero."""
+    return AnalyticField(lambda p: 0.05 * math.sin(K_WAVE @ p),
+                         lambda p: 0.05 * math.cos(K_WAVE @ p) * K_WAVE)
+
+
+def numpy_rk4_geodesic(field, init, h, n, c):
+    """Reference: fixed-step RK4 on (p, u) as NumPy arrays, with the
+    geodesic rhs written out as array expressions."""
+    def rhs(y):
+        p, u = y[:4], y[4:]
+        a = a_per_meter(field, p, c)
+        du = -float(a @ u) * u + 0.5 * ETA * a * -eta_norm(u)
+        return np.concatenate([np.array([u[0] / c, u[1], u[2], u[3]]), du])
+
+    ys = [np.concatenate([init.p, init.u])]
+    for _ in range(n):
+        y = ys[-1]
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        ys.append(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(ys)
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"step": 0.1, "span": -5.0}, "span"),
+        ({"step": 0.1, "span": float("nan")}, "span"),
+        ({"step": float("nan"), "span": 1.0}, "step"),
+        ({"step": float("inf"), "span": 1.0}, "step"),
+    ], ids=["span=-5", "span=nan", "step=nan", "step=inf"])
+    def test_bad_step_or_span_is_refused(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            IntegratorConfig(**kwargs)
+
+
 class TestMetric:
     def test_constant_alpha_gives_eta(self):
         m = metric_at(ConstantField(0.9), spacetime_point(), spacetime_point(1, 2, 3, 4))
@@ -57,6 +100,16 @@ class TestMetric:
 
 
 class TestGeodesicRhs:
+    def test_agrees_with_the_array_formula(self):
+        fld = wave_field()
+        st = GeodesicState(spacetime_point(0.1, 0.2, -0.3, 0.4),
+                           np.array([1.2 * C_DESK, 0.9, -0.6, 0.5]))
+        a = a_per_meter(fld, st.p, C_DESK)
+        assert np.all(a != 0)
+        want = -(a @ st.u) * st.u + 0.5 * ETA * a * -eta_norm(st.u)
+        got = geodesic_rhs(fld, st, C_DESK)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_flat_field_straight_line(self):
         st = GeodesicState(spacetime_point(), np.array([C_DESK, 0.5, 0, 0]))
         assert np.array_equal(geodesic_rhs(ConstantField(1.2), st, C_DESK), np.zeros(4))
@@ -171,6 +224,30 @@ class TestIntegrateGeodesic:
         cfg = IntegratorConfig(step=0.1, span=1.0, max_halvings=3)
         with pytest.raises(StepUnstable):
             integrate_geodesic(ConstantField(float("nan")), init, cfg, C_DESK)
+
+    def test_matches_numpy_rk4_on_a_field_varying_along_every_axis(self):
+        # scalar A . u sums without the fused multiply-add of BLAS ddot, so
+        # the last bits may move; nothing more
+        init = GeodesicState(spacetime_point(0.1, 0.2, -0.3, 0.4),
+                             np.array([1.2 * C_DESK, 0.9, -0.6, 0.5]))
+        traj = integrate_geodesic(wave_field(), init, IntegratorConfig(step=1e-2, span=1.0),
+                                  C_DESK)
+        ref = numpy_rk4_geodesic(wave_field(), init, 1e-2, 100, C_DESK)
+        assert np.allclose(traj.p, ref[:, :4], rtol=1e-12, atol=1e-12)
+        assert np.allclose(traj.u, ref[:, 4:], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("fld, c, step", [
+        (ConstantField(0.7), C_DESK, 1e-2),
+        (TimeOnlyField(lambda t: 2e3 * t, lambda t: 2e3), 299792458.0, 1e-7),
+    ], ids=["constant", "time-only"])
+    def test_bit_equal_to_numpy_rk4_with_one_gradient_component(self, fld, c, step):
+        beta = np.array([0.3, 0.2, -0.1])
+        u0 = np.array([c, *beta * c]) / math.sqrt(1 - beta @ beta)
+        init = GeodesicState(spacetime_point(), u0)
+        traj = integrate_geodesic(fld, init, IntegratorConfig(step=step, span=100 * step), c)
+        ref = numpy_rk4_geodesic(fld, init, step, 100, c)
+        assert traj.p.tobytes() == ref[:, :4].tobytes()
+        assert traj.u.tobytes() == ref[:, 4:].tobytes()
 
     def test_reversing_gradient_reverses_initial_acceleration(self):
         st = GeodesicState(spacetime_point(), np.array([C_DESK, 0.2, 0, 0]))
