@@ -21,7 +21,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .constants import C_M_PER_S, G_M3_KG_S2, MPC_KM, YEAR_S
-from .errors import InvalidBoundaries, OutOfDomain, OutOfRange
+from .errors import InvalidBoundaries, OutOfDomain, OutOfRange, require_finite_positive
 from .field import _CORNERS, AlphaField, TimeOnlyField
 
 _FLATNESS_TOL = 1e-12
@@ -49,18 +49,17 @@ class CosmologyParams:
     lam: float | None = None   # cosmological constant, 1/m^2
 
     def __post_init__(self):
-        if not self.h0_kms_mpc > 0:
-            raise ValueError("H0 must be positive")
+        for name in ("h0_kms_mpc", "G", "c", "t_now_s"):  # t_now_s: t_now_yr in seconds
+            require_finite_positive(name, getattr(self, name))
         for name in ("omega_m", "omega_r", "omega_v"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         total = self.omega_m + self.omega_r + self.omega_v
-        if abs(total - 1.0) > _FLATNESS_TOL:
+        if not abs(total - 1.0) <= _FLATNESS_TOL:
             raise ValueError(
                 f"flat universe needs omega_m+omega_r+omega_v = 1, got {total!r}"
             )
-        if self.t_now_yr <= 0:
-            raise ValueError("t_now must be positive")
 
     @property
     def h0_per_s(self) -> float:
@@ -118,24 +117,23 @@ class Segment:
 class AlphaProfile:
     """Piecewise time-only alpha(s) on (0, t_now], continuous and normalized."""
 
-    def __init__(self, segments: list[Segment], t_now: float,
-                 require_normalized: bool = True):
+    def __init__(self, segments: list[Segment], t_now: float):
         if not segments:
             raise InvalidBoundaries("profile needs at least one segment")
         for a, b in zip(segments, segments[1:]):
             if not (a.s_hi == b.s_lo):
                 raise InvalidBoundaries("segments must abut in order")
             gap = abs(a.alpha(a.s_hi) - b.alpha(b.s_lo))
-            if gap > 1e-9 * max(1.0, abs(a.alpha(a.s_hi))):
+            if not gap <= 1e-9 * max(1.0, abs(a.alpha(a.s_hi))):  # NaN fails too
                 raise InvalidBoundaries(f"alpha jumps by {gap} at s = {a.s_hi}")
         if segments[-1].s_hi != t_now:
             raise InvalidBoundaries("last segment must end at t_now")
-        if require_normalized and abs(segments[-1].alpha(t_now)) > 1e-9:
+        if not abs(segments[-1].alpha(t_now)) <= 1e-9:
             raise InvalidBoundaries(
                 f"alpha(t_now) = {segments[-1].alpha(t_now)}, expected 0"
             )
         for seg in segments:
-            if seg.slope(seg.s_hi) > 0:  # log kinds always fall; linear needs rate >= 0
+            if not seg.slope(seg.s_hi) <= 0:  # log kinds fall; linear needs rate >= 0
                 raise InvalidBoundaries("alpha must be nonincreasing in s")
         self.segments = list(segments)
         self.t_now = float(t_now)
@@ -191,12 +189,13 @@ class AlphaProfile:
             t_domain=(self.segments[0].s_lo, self.t_now),
         )
 
-    def to_csv(self, path, params: "CosmologyParams", n: int = 512,
-               s_min: float | None = None) -> None:
-        """Export s, alpha, a, H, rho rows on a log-spaced time grid."""
-        lo = s_min if s_min is not None else max(
-            self.segments[0].s_lo * (1 + 1e-9), self.t_now * 1e-8)
-        ss = np.geomspace(lo, self.t_now, n).tolist()
+    def csv_start(self) -> float:
+        """First time of the :meth:`to_csv` grid: t_now * 1e-8, kept above s_lo."""
+        return max(self.segments[0].s_lo * (1 + 1e-9), self.t_now * 1e-8)
+
+    def to_csv(self, path, params: "CosmologyParams", n: int = 512) -> None:
+        """Export s, alpha, a, H, rho rows on a log-spaced grid, csv_start() to t_now."""
+        ss = np.geomspace(self.csv_start(), self.t_now, n).tolist()
         write_csv(path, ["s", "alpha", "a", "H", "rho"], (
             (s, self.alpha(s), scale_factor(self, s), hubble(self, s),
              density(self, s, params)) for s in ss))
@@ -276,12 +275,10 @@ def friedmann_residuals(profile: AlphaProfile, s: float, rho: float, p: float,
 # -- era closed forms and profile construction -----------------------------
 
 
-def vacuum_rate(params: CosmologyParams, rho_v: float | None = None) -> float:
-    """Exponential expansion rate sqrt(8 pi G rho_V / 3); equals H0 when
-    rho_V is the critical density."""
-    if rho_v is None:
-        rho_v = critical_density(params)
-    return math.sqrt(8.0 * math.pi * params.G * rho_v / 3.0)
+def vacuum_rate(params: CosmologyParams) -> float:
+    """Exponential expansion rate sqrt(8 pi G rho_V / 3) at the critical
+    vacuum density rho_V; it equals H0."""
+    return math.sqrt(8.0 * math.pi * params.G * critical_density(params) / 3.0)
 
 
 def linear_hubble_profile(params: CosmologyParams) -> AlphaProfile:
@@ -293,25 +290,20 @@ def linear_hubble_profile(params: CosmologyParams) -> AlphaProfile:
     return AlphaProfile([seg], t)
 
 
-def build_alpha_profile(params: CosmologyParams, s_rm: float, s_de: float,
-                        de_rate: float | None = None) -> AlphaProfile:
+def build_alpha_profile(params: CosmologyParams, s_rm: float, s_de: float) -> AlphaProfile:
     """Stitch radiation (0, s_rm], matter (s_rm, s_de] and accelerating
     (s_de, t_now] segments into a continuous normalized profile.
 
-    ``de_rate`` is the dark-energy segment's constant decline rate; the
-    default is the critical-density vacuum rate (= H0), which exceeds the
-    matter slope 2/(3 s_de) at the default 10 Gyr onset, so the profile
-    steepens at the onset. alpha diverges like -(1/2) ln s at early times.
+    The dark-energy segment declines at the vacuum rate (= H0), which exceeds
+    the matter slope 2/(3 s_de) at the default 10 Gyr onset, so the profile
+    steepens there. alpha diverges like -(1/2) ln s at early times.
     """
     t = params.t_now_s
     if not (0.0 < s_rm < s_de < t):
         raise InvalidBoundaries(
             f"need 0 < s_rm < s_de < t_now, got {s_rm}, {s_de}, {t}"
         )
-    rate = de_rate if de_rate is not None else vacuum_rate(params)
-    if rate <= 0:
-        raise InvalidBoundaries("dark-energy rate must be positive")
-    de = Segment(s_de, t, "linear", s_ref=t, alpha_ref=0.0, rate=rate)
+    de = Segment(s_de, t, "linear", s_ref=t, alpha_ref=0.0, rate=vacuum_rate(params))
     matter = Segment(s_rm, s_de, "matter", s_ref=s_de, alpha_ref=de.alpha(s_de))
     radiation = Segment(0.0, s_rm, "radiation", s_ref=s_rm,
                         alpha_ref=matter.alpha(s_rm))

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one number gate."""
+
+import math
+
+
+def require_finite_positive(name: str, value) -> None:
+    if not (value > 0 and math.isfinite(value)):  # NaN fails too
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class ValueFieldError(Exception):

@@ -179,8 +179,11 @@ class GridField(AlphaField):
             raise ValueError("grid samples contain non-finite values")
         self.origin = np.asarray(origin, dtype=float)
         self.spacing = np.asarray(spacing, dtype=float)
-        if np.any(self.spacing <= 0):
-            raise ValueError("grid spacing must be positive on every axis")
+        if self.origin.shape != (4,) or self.spacing.shape != (4,):
+            raise ValueError("grid origin and spacing must have shape (4,)")
+        if not (np.isfinite(self.origin).all() and np.isfinite(self.spacing).all()
+                and (self.spacing > 0).all()):
+            raise ValueError("grid origin must be finite, and spacing finite and positive")
         sizes = np.array(self.samples.shape)
         hi = self.origin + self.spacing * (sizes - 1)
         self.domain = (self.origin.copy(), hi)
@@ -268,17 +271,15 @@ def _quad_nodes(lo: float, hi: float, n: int, method: str):
     raise ValueError(f"unknown quadrature method {method!r}")
 
 
-def _tensor_quadrature(f, field: AlphaField, x_ref, anchor, axes, lo, hi, n,
-                       method) -> float:
-    """e^{-alpha(x_ref)} * sum of w e^{alpha} f over the tensor product of the
-    1-D rules on ``axes``, with one field call for x_ref and every node."""
+def _tensor_quadrature(f, field: AlphaField, x_ref, axes, lo, hi, n, method) -> float:
+    """e^{-alpha(x_ref)} * sum of w e^{alpha} f over the tensor product of the 1-D
+    rules on ``axes`` through x_ref, with one field call for x_ref and every node."""
     x_ref = _as_point(x_ref)
-    base = x_ref if anchor is None else _as_point(anchor)
     rules = [_quad_nodes(float(a), float(b), int(n), method) for a, b in zip(lo, hi)]
     coords = np.stack(np.meshgrid(*(ys for ys, _ in rules), indexing="ij"),
                       axis=-1).reshape(-1, len(axes))
     weights = functools.reduce(np.multiply.outer, (w for _, w in rules)).ravel()
-    points = np.vstack([x_ref, np.broadcast_to(base, (len(coords), 4))])
+    points = np.tile(x_ref, (len(coords) + 1, 1))
     points[1:, axes] = coords
     alpha = field.alpha(points)
     values = np.fromiter(map(f, coords), float, len(coords))
@@ -291,39 +292,37 @@ def _tensor_quadrature(f, field: AlphaField, x_ref, anchor, axes, lo, hi, n,
 
 
 def scaled_integral(f, field: AlphaField, x_ref, lo, hi, n=256,
-                    method="simpson", axis=1, anchor=None) -> float:
+                    method="simpson", axis=1) -> float:
     """Transport-corrected line integral along one coordinate axis.
 
     Approximates e^{-alpha(x_ref)} * int e^{alpha(y)} f(y) dy, where the
-    integration variable runs along ``axis`` through the point ``anchor``
-    (default: x_ref) and f takes the scalar coordinate. The field weight is
-    evaluated at every quadrature node, not at panel centers of f alone.
+    integration variable runs along ``axis`` through x_ref and f takes the
+    scalar coordinate. The field weight is evaluated at every quadrature
+    node, not at panel centers of f alone.
     """
-    return _tensor_quadrature(lambda q: f(q[0]), field, x_ref, anchor, [axis],
-                              [lo], [hi], n, method)
+    return _tensor_quadrature(lambda q: f(q[0]), field, x_ref, [axis], [lo], [hi], n, method)
 
 
 def scaled_integral_3d(f, field: AlphaField, x_ref, lo, hi, n=32,
-                       method="simpson", anchor=None) -> float:
+                       method="simpson") -> float:
     """Transport-corrected volume integral over a spatial box at fixed time:
     the three-axis case of :func:`scaled_integral`.
 
-    ``lo``/``hi`` are 3-vectors over axes (x, y, z); the time slice is taken
-    from ``anchor`` (default: x_ref); f takes a 3-vector.
+    ``lo``/``hi`` are 3-vectors over axes (x, y, z); the time slice is x_ref's
+    time; f takes a 3-vector.
     """
-    return _tensor_quadrature(f, field, x_ref, anchor, [1, 2, 3], lo, hi, n, method)
+    return _tensor_quadrature(f, field, x_ref, [1, 2, 3], lo, hi, n, method)
 
 
-def covariant_derivative(f, field: AlphaField, y, mu: int, coupling: float = 1.0,
-                         step: float | None = None) -> float:
+def covariant_derivative(f, field: AlphaField, y, mu: int, coupling: float = 1.0) -> float:
     """Transport-corrected derivative: d_mu f + coupling * A_mu(y) * f(y).
 
-    The partial derivative is a central difference with the field's default
-    step unless ``step`` is given. The kernel identity D(e^{-alpha}) = 0
-    holds because d_mu e^{-alpha} = -A_mu e^{-alpha}.
+    The partial derivative is a central difference with the field's own
+    finite-difference step. The kernel identity D(e^{-alpha}) = 0 holds
+    because d_mu e^{-alpha} = -A_mu e^{-alpha}.
     """
     y = _as_point(y)
-    h = float(step) if step is not None else float(field._fd_steps(y)[mu])
+    h = float(field._fd_steps(y)[mu])
     e = np.zeros(4)
     e[mu] = h
     dfd = (f(y + e) - f(y - e)) / (2 * h)

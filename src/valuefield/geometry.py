@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import write_csv
-from .errors import InvalidEnergy, LeftDomain, OutOfDomain, StepUnstable
+from .errors import (InvalidEnergy, LeftDomain, OutOfDomain, StepUnstable,
+                     require_finite_positive)
 from .field import AlphaField, _as_point, transport_factor
 
 ETA = np.array([-1.0, 1.0, 1.0, 1.0])  # its own inverse: used as eta and etainv
@@ -66,10 +67,8 @@ class IntegratorConfig:
     max_halvings: int = 10
 
     def __post_init__(self):
-        for name in ("step", "span"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):  # NaN fails too
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        require_finite_positive("step", self.step)
+        require_finite_positive("span", self.span)
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,8 @@ class ParticleSpec:
     c: float
 
     def __post_init__(self):
-        if self.m <= 0 or self.c <= 0:
-            raise ValueError("mass and c must be positive")
+        require_finite_positive("m", self.m)
+        require_finite_positive("c", self.c)
 
     @property
     def rest_energy(self) -> float:
@@ -105,6 +104,7 @@ def eta_norm(u) -> float:
 
 def geodesic_rhs(field: AlphaField, state: GeodesicState, c: float) -> np.ndarray:
     """du/dtau for a free particle (or light ray) in the scaled geometry."""
+    require_finite_positive("c", c)
     return np.array(_geodesic_du(field, state.p, state.u.tolist(), c))
 
 
@@ -193,6 +193,8 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
     when alpha is constant). A step that moves it by more than norm_check_tol
     relative is retried at half the step, up to max_halvings levels deep.
     """
+    require_finite_positive("c", c)
+
     def rhs(y):
         return [y[4] / c, y[5], y[6], y[7], *_geodesic_du(field, y[:4], y[4:], c)]
 

@@ -26,10 +26,11 @@ from typing import Callable
 import numpy as np
 
 from ._csv import write_csv
-from .errors import NotNormalized, StepUnstable
+from .errors import NotNormalized, StepUnstable, require_finite_positive
 from .field import AlphaField
 
 NORMALIZATION_TOL = 1e-12
+RATE_FD_STEP = 1e-6  # step of the central difference of alpha(t) that stands in for A(t)
 
 
 @dataclass
@@ -68,12 +69,12 @@ class WaveFunction1D:
         return np.abs(self.psi) ** 2
 
 
-def gaussian_packet(y, y0=0.0, sigma=1.0, k0=0.0, t=0.0) -> WaveFunction1D:
-    """Normalized Gaussian wave packet: |psi|^2 is N(y0, sigma^2)."""
+def gaussian_packet(y, y0=0.0, sigma=1.0, k0=0.0) -> WaveFunction1D:
+    """Normalized Gaussian wave packet at t = 0: |psi|^2 is N(y0, sigma^2)."""
     y = np.asarray(y, dtype=float)
     amp = (2 * math.pi * sigma ** 2) ** -0.25
     psi = amp * np.exp(-((y - y0) ** 2) / (4 * sigma ** 2) + 1j * k0 * y)
-    return WaveFunction1D(y, psi, t).normalized()
+    return WaveFunction1D(y, psi).normalized()
 
 
 @dataclass(frozen=True)
@@ -87,30 +88,27 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.kind not in ("spectral", "fd"):
             raise ValueError(f"kind must be 'spectral' or 'fd', got {self.kind!r}")
-        if self.mass <= 0 or self.hbar <= 0:
-            raise ValueError("mass and hbar must be positive")
+        require_finite_positive("mass", self.mass)
+        require_finite_positive("hbar", self.hbar)
 
 
 class TimeScaling:
     """Time-only scaling data: alpha(t) and its rate A(t) = d alpha/dt.
 
     Either callable may be omitted; the missing one is derived (A by central
-    difference of alpha, the damping exponent of a missing alpha by Simpson
-    quadrature of A over the step).
+    difference of alpha with step RATE_FD_STEP, the damping exponent of a
+    missing alpha by Simpson quadrature of A over the step).
     """
 
-    def __init__(self, alpha: Callable | None = None, rate: Callable | None = None,
-                 fd_step: float = 1e-6):
+    def __init__(self, alpha: Callable | None = None, rate: Callable | None = None):
         if alpha is None and rate is None:
             raise ValueError("need alpha(t) or A(t)")
         self.alpha = alpha
-        self._fd_step = fd_step
-        if rate is not None:
-            self.rate = rate
-        else:
-            def rate(t, _a=alpha, _h=fd_step):
-                return (_a(t + _h) - _a(t - _h)) / (2 * _h)
-            self.rate = rate
+        self.rate = rate if rate is not None else self._alpha_difference
+
+    def _alpha_difference(self, t: float) -> float:
+        h = RATE_FD_STEP
+        return (self.alpha(t + h) - self.alpha(t - h)) / (2 * h)
 
     @classmethod
     def constant(cls, a0: float) -> "TimeScaling":
@@ -120,7 +118,7 @@ class TimeScaling:
     def zero(cls) -> "TimeScaling":
         return cls.constant(0.0)
 
-    def rate_consistency(self, t: float, h: float | None = None) -> float:
+    def rate_consistency(self, t: float) -> float:
         """|A(t) - central difference of alpha|; 0.0 when alpha is absent.
 
         Lets callers assert that independently supplied alpha and A actually
@@ -128,9 +126,7 @@ class TimeScaling:
         """
         if self.alpha is None:
             return 0.0
-        h = self._fd_step if h is None else h
-        fd = (self.alpha(t + h) - self.alpha(t - h)) / (2 * h)
-        return abs(self.rate(t) - fd)
+        return abs(self.rate(t) - self._alpha_difference(t))
 
     def damping_exponent(self, t0: float, t1: float) -> float:
         """int_{t0}^{t1} A dt, exact as alpha(t1) - alpha(t0) when alpha is known."""
@@ -175,8 +171,7 @@ class _CrankNicolson:
 def schrodinger_step(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,
                      dt: float, _cn: _CrankNicolson | None = None) -> WaveFunction1D:
     """Advance one step of i hbar (d/dt + A(t)) psi = H psi."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    require_finite_positive("dt", dt)
     cn = _cn if _cn is not None and _cn.dt == dt else _CrankNicolson(
         psi.psi.size, psi.dy, ham, dt)
     damping = math.exp(-scaling.damping_exponent(psi.t, psi.t + dt))

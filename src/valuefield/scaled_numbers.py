@@ -13,13 +13,12 @@ are accepted and simply stay floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from .errors import MixedScales, NotInBaseSet
-
-_BINARY_OPS = ("add", "sub", "mul", "div")
 
 
 def _check_scale(s) -> None:
@@ -32,6 +31,15 @@ def _ratio(num, den):
     if isinstance(num, Rational) and isinstance(den, Rational):
         return Fraction(num) / Fraction(den)
     return num / den
+
+
+_BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _ratio}
+
+
+def _binary_op(op: str):
+    if op not in _BINARY_OPS:
+        raise ValueError(f"op must be one of {tuple(_BINARY_OPS)}, got {op!r}")
+    return _BINARY_OPS[op]
 
 
 @dataclass(frozen=True)
@@ -164,23 +172,13 @@ def scaled_combine(op: str, s, x: ScaledNumber, y: ScaledNumber) -> ScaledNumber
     isomorphic to the standard one under valuation); the rescaled raw-level
     behavior follows: raw(mul) = raw(x)*raw(y)/s, raw(div) = s*raw(x)/raw(y).
     """
-    if op not in _BINARY_OPS:
-        raise ValueError(f"op must be one of {_BINARY_OPS}, got {op!r}")
+    fn = _binary_op(op)
     _check_scale(s)
     if x.scale != s or y.scale != s:
         raise MixedScales(
             f"operands have scales {x.scale!r}, {y.scale!r}; expected {s!r}"
         )
-    a, b = x.value, y.value
-    if op == "add":
-        v = a + b
-    elif op == "sub":
-        v = a - b
-    elif op == "mul":
-        v = a * b
-    else:
-        v = _ratio(a, b)  # raises ZeroDivisionError for b == 0
-    return ScaledNumber(v, s)
+    return ScaledNumber(fn(x.value, y.value), s)  # div by 0 raises ZeroDivisionError
 
 
 def commutation_table(s, t, op: str, a, b):
@@ -194,19 +192,10 @@ def commutation_table(s, t, op: str, a, b):
     """
     _check_scale(s)
     _check_scale(t)
-    if op not in ("add", "sub", "mul", "div"):
-        raise ValueError(f"unsupported op {op!r}")
+    fn = _binary_op(op)
     factor = _ratio(t, s)
-    ta, tb = factor * a, factor * b
-    if op == "add":
-        combo, combined = ta + tb, a + b
-    elif op == "sub":
-        combo, combined = ta - tb, a - b
-    elif op == "mul":
-        combo, combined = ta * tb, a * b
-    else:
-        combo, combined = _ratio(ta, tb), _ratio(a, b)
-    transport = factor * combined
+    combo = fn(factor * a, factor * b)
+    transport = factor * fn(a, b)
     return transport, combo, _ratio(combo, transport)
 
 

@@ -135,10 +135,10 @@ def parse_params(name: str, raw: dict[str, str]) -> tuple[dict, list[str]]:
 # -- arithmetic-check -------------------------------------------------------
 
 
-def _random_fraction(rng: random.Random, nonzero=False) -> Fraction:
+def _nonzero_fraction(rng: random.Random) -> Fraction:
     while True:
         f = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
-        if not nonzero or f != 0:
+        if f != 0:
             return f
 
 
@@ -159,8 +159,8 @@ def scenario_arithmetic_check(p: dict, out_dir: Path) -> RunReport:
     failures = {"raw": 0, "compose": 0, "zero": 0, "mul": 0, "div": 0, "add": 0}
     for _ in range(p["cases"]):
         s, t, u = (_positive_fraction(rng) for _ in range(3))
-        a = _random_fraction(rng, nonzero=True)
-        b = _random_fraction(rng, nonzero=True)
+        a = _nonzero_fraction(rng)
+        b = _nonzero_fraction(rng)
 
         x = sn.ScaledNumber(a, t)
         moved = sn.connect_value(s, t, x)
@@ -389,8 +389,18 @@ def _era_ode_exponent(kind: str, params: cos.CosmologyParams):
     return fit, power
 
 
+def _cosmology_model(p: dict) -> tuple[cos.CosmologyParams, cos.AlphaProfile]:
+    """The configured parameters and the stitched radiation-matter-vacuum profile."""
+    params = cos.CosmologyParams(
+        h0_kms_mpc=p["h0_kms_mpc"], omega_m=p["omega_m"], omega_r=p["omega_r"],
+        omega_v=p["omega_v"], t_now_yr=p["t_now_gyr"] * 1e9)
+    s_rm, s_de = p["s_rm_kyr"] * 1e3 * YEAR_S, p["s_de_gyr"] * GYR_S
+    return params, cos.build_alpha_profile(params, s_rm, s_de)
+
+
 def _cosmology_consistency(p: dict) -> list[str]:
-    """Flatness and era ordering, which no single parameter can check."""
+    """Flatness, era ordering and finite densities in alpha_profile.csv, whose
+    first row has the largest e^{4 (alpha(s) - alpha(t_now))} in density()."""
     diags = []
     total = p["omega_m"] + p["omega_r"] + p["omega_v"]
     if abs(total - 1.0) > 1e-12:
@@ -400,6 +410,16 @@ def _cosmology_consistency(p: dict) -> list[str]:
         diags.append("cosmology.s_rm_kyr: must precede s_de_gyr")
     if p["s_de_gyr"] >= p["t_now_gyr"]:
         diags.append("cosmology.s_de_gyr: must precede t_now_gyr")
+    if diags:
+        return diags
+    exponent, top = math.inf, math.log(sys.float_info.max)
+    if p["t_now_gyr"] * 1e9 * YEAR_S < math.inf:  # CosmologyParams.t_now_s
+        _, profile = _cosmology_model(p)
+        exponent = 4.0 * profile.alpha_diff(profile.csv_start(), profile.t_now)
+    if not exponent <= top:  # NaN fails too
+        diags.append(f"cosmology.t_now_gyr: alpha_profile.csv densities overflow; "
+                     f"needs 4*(alpha(first row) - alpha(t_now)) <= {top:.6g}, "
+                     f"got {exponent:.6g}")
     return diags
 
 
@@ -418,9 +438,7 @@ _CONSISTENCY = {"field-calculus": _field_calculus_consistency, "cosmology": _cos
 def scenario_cosmology(p: dict, out_dir: Path) -> RunReport:
     """Rate conversion, era exponents, redshift linearization, residuals."""
     report = RunReport("cosmology")
-    params = cos.CosmologyParams(
-        h0_kms_mpc=p["h0_kms_mpc"], omega_m=p["omega_m"], omega_r=p["omega_r"],
-        omega_v=p["omega_v"], t_now_yr=p["t_now_gyr"] * 1e9)
+    params, profile = _cosmology_model(p)
 
     # published rates at H0 = 70 km/s/Mpc, scaled to the configured H0
     per_yr, per_s = cos.h0_convert(params.h0_kms_mpc)
@@ -468,10 +486,7 @@ def scenario_cosmology(p: dict, out_dir: Path) -> RunReport:
         rel = max(rel, abs(r1) / a2, abs(r2) / a2)
     report.add_bound("matter_friedmann_rel_residual", rel, 1e-9)
 
-    s_rm = p["s_rm_kyr"] * 1e3 * YEAR_S
-    s_de = p["s_de_gyr"] * GYR_S
-    profile = cos.build_alpha_profile(params, s_rm, s_de)
-    left, right = profile.slope_sides(s_de)
+    left, right = profile.slope_sides(p["s_de_gyr"] * GYR_S)
     report.add_bound("onset_slope_steepening", right - left, 0.0)
 
     art = _artifact(report, out_dir, "alpha_profile.csv")

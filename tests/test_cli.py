@@ -138,6 +138,9 @@ class TestExitCodes:
         ("field-calculus", "field-calculus.k=1e3", 2),  # e^(k*y) would overflow
         ("field-calculus", "field-calculus.k=100", 2),  # the closed form would overflow
         ("field-calculus", "field-calculus.k=-100", 2),
+        ("cosmology", "cosmology.t_now_gyr=2.5e3", 2),  # density e^(4 dalpha) would overflow
+        ("cosmology", "cosmology.t_now_gyr=1e7", 2),
+        ("cosmology", "cosmology.t_now_gyr=1e300", 2),  # t_now overflows to inf
     ])
     def test_bad_input_exit_code_without_traceback(self, tmp_path, capsys,
                                                    scenario, override, code):
@@ -202,6 +205,11 @@ class TestOverridesAndEnv:
         cfg = write_config(tmp_path, "cosmology", {"h0_kms_mpc": "67"})
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
+    def test_old_universe_below_the_density_overflow_runs(self, tmp_path):
+        # at H0 = 70 the first alpha_profile.csv density overflows near 2.37e3 Gyr
+        cfg = write_config(tmp_path, "cosmology", {"t_now_gyr": "2e3"})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -216,6 +224,17 @@ class TestDeterminism:
         assert names1 == names2
         for name in names1:
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_demo_directories_are_byte_identical(self, tmp_path, capsys, scenario):
+        # every file the CLI leaves, the emitted config included, not only the artifacts
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d in dirs:
+            assert main(["demo", scenario, "--out", str(d)]) == 0
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir())
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
 class TestReports:

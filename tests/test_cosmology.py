@@ -79,6 +79,24 @@ class TestParams:
         with pytest.raises(ValueError):
             CosmologyParams(omega_m=-0.1, omega_r=0.4, omega_v=0.7)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"omega_m": float("nan")},
+        {"omega_v": float("nan")},
+        {"omega_m": float("inf"), "omega_v": float("-inf")},
+        {"t_now_yr": float("nan")},
+        {"t_now_yr": float("inf")},
+        {"t_now_yr": 1e301},  # finite in years, inf in seconds
+        {"h0_kms_mpc": float("inf")},
+        {"h0_kms_mpc": float("nan")},
+        {"G": float("nan")},
+        {"G": float("inf")},
+        {"G": 0.0},
+        {"c": float("nan")},
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_non_finite_or_non_positive_values_are_refused(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            CosmologyParams(**kwargs)
+
 
 class TestScaleFactor:
     def test_normalized_now(self):
@@ -353,7 +371,15 @@ class TestBuildProfile:
         good = Segment(0.0, 50.0, "matter", s_ref=50.0, alpha_ref=1.0)
         bad = Segment(50.0, t, "linear", s_ref=t, alpha_ref=0.5, rate=1e-3)
         with pytest.raises(InvalidBoundaries):
-            AlphaProfile([good, bad], t, require_normalized=False)
+            AlphaProfile([good, bad], t)
+
+    @pytest.mark.parametrize("segment", [
+        Segment(0.0, 100.0, "linear", s_ref=100.0, alpha_ref=float("nan"), rate=1e-3),
+        Segment(0.0, 100.0, "linear", s_ref=100.0, alpha_ref=0.0, rate=float("nan")),
+    ], ids=["alpha_ref=nan", "rate=nan"])
+    def test_nan_profile_is_rejected(self, segment):
+        with pytest.raises(InvalidBoundaries):
+            AlphaProfile([segment], 100.0)
 
     def test_increasing_alpha_rejected(self):
         t = 100.0

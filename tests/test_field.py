@@ -174,6 +174,20 @@ def test_batch_with_one_point_outside_raises():
         fld.gradient(pts)
 
 
+@pytest.mark.parametrize("origin, spacing", [
+    ((0, np.nan, 0, 0), (1, 1, 1, 1)),
+    ((0, np.inf, 0, 0), (1, 1, 1, 1)),
+    ((0, 0, 0, 0), (1, np.nan, 1, 1)),
+    ((0, 0, 0, 0), (1, 1, np.inf, 1)),
+    ((0,), (1, 1, 1, 1)),
+    ((0, 0, 0, 0), (1,)),
+], ids=["origin-nan", "origin-inf", "spacing-nan", "spacing-inf", "origin-(1,)",
+        "spacing-(1,)"])
+def test_grid_field_refuses_bad_origin_or_spacing(origin, spacing):
+    with pytest.raises(ValueError, match="^grid origin"):
+        GridField(np.zeros((2, 2, 2, 2)), origin, spacing)
+
+
 @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), (2, 5), (2, 2, 4), ()])
 def test_other_input_shapes_raise_value_error(shape):
     fld = AnalyticField(lambda p: p[1])
@@ -340,6 +354,12 @@ class TestGridCsv:
         assert np.array_equal(back.samples, fld.samples)
         assert np.array_equal(back.origin, fld.origin)
         assert np.array_equal(back.spacing, fld.spacing)
+
+    def test_nan_origin_in_the_file_is_refused(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("axis_sizes,2,1,1,1\nh_per_axis,1,1,1,1\norigin,nan,0,0,0\n0\n1\n")
+        with pytest.raises(ValueError, match="origin must be finite"):
+            GridField.from_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -78,6 +78,16 @@ class TestIntegratorConfig:
             IntegratorConfig(**kwargs)
 
 
+class TestParticleSpec:
+    @pytest.mark.parametrize("m, c, name", [
+        (float("nan"), 1.0, "m"), (float("inf"), 1.0, "m"),
+        (1.0, float("nan"), "c"), (1.0, float("inf"), "c"),
+    ], ids=["m=nan", "m=inf", "c=nan", "c=inf"])
+    def test_non_finite_mass_or_c_is_refused(self, m, c, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            ParticleSpec(m, c)
+
+
 class TestMetric:
     def test_constant_alpha_gives_eta(self):
         m = metric_at(ConstantField(0.9), spacetime_point(), spacetime_point(1, 2, 3, 4))
@@ -248,6 +258,16 @@ class TestIntegrateGeodesic:
         ref = numpy_rk4_geodesic(fld, init, step, 100, c)
         assert traj.p.tobytes() == ref[:, :4].tobytes()
         assert traj.u.tobytes() == ref[:, 4:].tobytes()
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, float("nan"), float("inf")],
+                             ids=["c=-1", "c=0", "c=nan", "c=inf"])
+    def test_bad_c_is_refused_at_entry(self, c):
+        init = GeodesicState(spacetime_point(), np.array([1.0, 0.3, 0, 0]))
+        cfg = IntegratorConfig(step=0.1, span=1.0)
+        with pytest.raises(ValueError, match="^c must be finite and positive"):
+            integrate_geodesic(ConstantField(0.0), init, cfg, c)
+        with pytest.raises(ValueError, match="^c must be finite and positive"):
+            geodesic_rhs(ConstantField(0.0), init, c)
 
     def test_reversing_gradient_reverses_initial_acceleration(self):
         st = GeodesicState(spacetime_point(), np.array([C_DESK, 0.2, 0, 0]))

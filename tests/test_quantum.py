@@ -51,6 +51,16 @@ class TestWaveFunction:
             psi.normalized()
 
 
+class TestHamiltonianSpec:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"mass": float("nan")}, "mass"), ({"mass": float("inf")}, "mass"),
+        ({"hbar": float("nan")}, "hbar"), ({"hbar": float("inf")}, "hbar"),
+    ], ids=["mass=nan", "mass=inf", "hbar=nan", "hbar=inf"])
+    def test_non_finite_mass_or_hbar_is_refused(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            HamiltonianSpec(**kwargs)
+
+
 class TestTimeScaling:
     def test_constant_rate(self):
         sc = TimeScaling.constant(0.3)
@@ -78,6 +88,13 @@ class TestTimeScaling:
 
 
 class TestEvolution:
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")], ids=["dt=nan", "dt=inf"])
+    def test_non_finite_dt_is_refused_before_any_operator_is_built(self, dt):
+        # RuntimeWarnings are errors in this suite, so a NaN operator fails here too
+        psi = gaussian_packet(grid(n=16, half_width=2.0))
+        with pytest.raises(ValueError, match="^dt must be finite and positive"):
+            schrodinger_step(psi, HamiltonianSpec(), TimeScaling.zero(), dt)
+
     def test_zero_scaling_is_unitary(self):
         psi = gaussian_packet(grid(), sigma=1.0)
         ham = HamiltonianSpec("spectral")

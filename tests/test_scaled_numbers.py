@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valuefield.errors import MixedScales, NotInBaseSet
@@ -195,6 +195,27 @@ class TestCommutation:
         if a + b != 0:
             _, _, ratio = commutation_table(s, t, "add", a, b)
             assert ratio == 1
+
+    @given(positive_fractions, positive_fractions, nonzero_fractions, nonzero_fractions)
+    def test_sub_commutes(self, s, t, a, b):
+        assume(a != b)  # the ratio is undefined when the difference is 0
+        tr, combo, ratio = commutation_table(s, t, "sub", a, b)
+        assert tr == combo and ratio == 1
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("a, b", [(F(3, 4), F(-5, 7)), (1.5 + 2j, -0.25 + 3j)],
+                             ids=["fraction", "complex"])
+    def test_equal_scales_combo_is_scaled_combine(self, op, a, b):
+        s = F(5, 3)
+        _, combo, _ = commutation_table(s, s, op, a, b)
+        assert combo == scaled_combine(op, s, ScaledNumber(a, s), ScaledNumber(b, s)).value
+
+    @pytest.mark.parametrize("op", ["pow", "ADD", ""])
+    def test_unknown_op_is_refused_by_both(self, op):
+        with pytest.raises(ValueError, match="op must be one of"):
+            scaled_combine(op, F(2), ScaledNumber(F(3), F(2)), ScaledNumber(F(5), F(2)))
+        with pytest.raises(ValueError, match="op must be one of"):
+            commutation_table(F(2), F(4), op, F(3), F(5))
 
 
 class TestTransportedComponents:
