@@ -29,8 +29,7 @@ _FLATNESS_TOL = 1e-12
 
 def h0_convert(h0_kms_mpc: float) -> tuple[float, float]:
     """Hubble constant in km/s/Mpc -> (1/year, 1/second)."""
-    if not h0_kms_mpc > 0:
-        raise ValueError("H0 must be positive")
+    require_finite_positive("h0_kms_mpc", h0_kms_mpc)
     per_second = h0_kms_mpc / MPC_KM
     return per_second * YEAR_S, per_second
 
@@ -55,6 +54,8 @@ class CosmologyParams:
             value = getattr(self, name)
             if not (value >= 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise ValueError(f"lam must be None or finite, got {self.lam!r}")
         total = self.omega_m + self.omega_r + self.omega_v
         if not abs(total - 1.0) <= _FLATNESS_TOL:
             raise ValueError(

@@ -172,7 +172,7 @@ class GridField(AlphaField):
     """Alpha sampled on a uniform 4-D box; multilinear interpolation in between."""
 
     def __init__(self, samples, origin, spacing):
-        self.samples = np.asarray(samples, dtype=float)
+        self.samples = np.ascontiguousarray(samples, dtype=float)  # a flat take copies nothing
         if self.samples.ndim != 4:
             raise ValueError("grid samples must be a 4-D array")
         if not np.all(np.isfinite(self.samples)):
@@ -187,19 +187,55 @@ class GridField(AlphaField):
         sizes = np.array(self.samples.shape)
         hi = self.origin + self.spacing * (sizes - 1)
         self.domain = (self.origin.copy(), hi)
-        self._last_cell, self._last_index = sizes - 2, sizes - 1
+        self._last_cell = sizes - 2
+        # flat offset of the next sample along each axis, so samples.take(i @ strides)
+        # is samples[i]; 0 on an axis of one sample, which has no upper corner
+        self._strides = np.append(np.cumprod(sizes[:0:-1])[::-1], 1) * (sizes > 1)
 
-    def _alpha_rows(self, rows):
-        # fractional index per axis, clamped so the top edge stays in the last cell
+    def _cell(self, rows, first_cell, last_cell):
+        """The flat sample index and the multilinear weight of each of the 16
+        corners of each row's cell, whose lowest node is clamped to
+        [first_cell, last_cell] per axis."""
         frac = (rows - self.origin) / self.spacing
-        i0 = np.maximum(np.minimum(frac.astype(int), self._last_cell), 0)
+        i0 = np.maximum(np.minimum(frac.astype(int), last_cell), first_cell)
         w = (frac - i0)[:, None, :]
         weights = np.where(_CORNERS, w, 1.0 - w).prod(axis=2)
-        # an axis of one sample has no upper corner; its weight there is 0
-        corners = np.minimum(i0[:, None, :] + _CORNERS, self._last_index)
-        values = self.samples[tuple(corners.transpose(2, 0, 1))]
+        return (i0 @ self._strides)[:, None] + _CORNERS @ self._strides, weights
+
+    def _alpha_rows(self, rows):
+        # the top edge stays in the last cell
+        corners, weights = self._cell(rows, 0, self._last_cell)
         # summed corner by corner in a fixed order, so a row does not depend on its batch
-        return np.add.accumulate(weights * values, axis=1)[:, -1]
+        return np.add.accumulate(weights * self.samples.take(corners), axis=1)[:, -1]
+
+    def _gradient_rows(self, rows):
+        """The central difference (f(x + h_k) - f(x - h_k)) / 2h_k one spacing
+        wide. On the multilinear interpolant, x +- h_k e_k sits at x's
+        fractional position in the next cell, so where the stencil is inside
+        the box the difference is the interpolant, over x's cell, of the nodal
+        differences (s[i+1] - s[i-1]) / 2h_k: one gather of both neighbours of
+        the 16 corners along every axis. Other rows (walls, top edges, axes of
+        fewer than 4 samples) take the stencil formula of the base class."""
+        lo, hi = self.domain
+        inside = (rows - self.spacing >= lo) & (rows + self.spacing <= hi) & (self._last_cell >= 2)
+        if inside.all():
+            return self._corner_differences(rows)
+        inner = inside.all(axis=1)
+        if not inner.any():
+            return super()._gradient_rows(rows)
+        out = np.empty_like(rows)
+        out[inner] = self._corner_differences(rows[inner])
+        out[~inner] = super()._gradient_rows(rows[~inner])
+        return out
+
+    def _corner_differences(self, rows):
+        # a stencil inside the box puts each row's fractional index in [1, n-2];
+        # clamping the cell to [1, n-3] keeps every neighbour in [0, n-1]
+        corners, weights = self._cell(rows, 1, self._last_cell - 1)
+        strides = self._strides
+        pairs = self.samples.take(corners[:, :, None] + np.concatenate((strides, -strides)))
+        terms = weights[:, :, None] * (pairs[:, :, :4] - pairs[:, :, 4:])
+        return np.add.accumulate(terms, axis=1)[:, -1] / (2 * self.spacing)
 
     def _fd_steps(self, p: np.ndarray) -> np.ndarray:
         return self.spacing.copy()

@@ -326,6 +326,13 @@ def scenario_schrodinger(p: dict, out_dir: Path) -> RunReport:
 
     psi = qm.evolve(psi0, ham, qm.TimeScaling.zero(), dt, steps)
     report.add_bound("unitarity_norm_drift", abs(psi.norm_sq() - 1.0), 1e-10)
+    # the norm checks hold on any grid; the free packet's width sees the
+    # resolution: Var(y) = sigma0^2 + (hbar t / (2 m sigma0))^2 with sigma0 = 1
+    rho = psi.probability_density()
+    rho = rho / np.sum(rho)
+    var = np.sum(rho * (y - np.sum(rho * y)) ** 2)
+    spread = 1.0 + (ham.hbar * steps * dt / (2 * ham.mass)) ** 2
+    report.add_bound("free_spreading_variance_rel_err", abs(var / spread - 1.0), 1e-6)
 
     rows = []
     fld0 = vfield.ConstantField(0.0)

@@ -103,6 +103,19 @@ class TestExitCodes:
         assert code == 1
         assert "[FAIL]" in capsys.readouterr().out
 
+    def test_schrodinger_default_passes(self, tmp_path):
+        cfg = write_config(tmp_path, "schrodinger")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_schrodinger_coarse_grid_fails_the_spreading_check(self, tmp_path, capsys):
+        # the norm checks hold on any grid; the packet's width does not
+        cfg = write_config(tmp_path, "schrodinger")
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                     "--set", "schrodinger.n=16"])
+        assert code == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1 and "free_spreading_variance" in failed[0]
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cosmology", {"omega_v": "0.6"})
         code = main(["run", str(cfg), "--out", str(tmp_path / "out")])

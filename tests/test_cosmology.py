@@ -66,6 +66,11 @@ class TestH0Convert:
         with pytest.raises(ValueError):
             h0_convert(0.0)
 
+    @pytest.mark.parametrize("h0", [float("inf"), float("nan")])
+    def test_non_finite_is_refused(self, h0):
+        with pytest.raises(ValueError, match="must be finite"):
+            h0_convert(h0)
+
 
 class TestParams:
     def test_flatness_enforced(self):
@@ -96,6 +101,15 @@ class TestParams:
     def test_non_finite_or_non_positive_values_are_refused(self, kwargs):
         with pytest.raises(ValueError, match="must be finite"):
             CosmologyParams(**kwargs)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lam_is_refused(self, lam):
+        with pytest.raises(ValueError, match="lam must be None or finite"):
+            CosmologyParams(lam=lam)
+
+    @pytest.mark.parametrize("lam", [None, 0.0, 1.1e-52, -1.1e-52])
+    def test_none_or_finite_lam_is_accepted(self, lam):
+        assert CosmologyParams(lam=lam).lam == lam
 
 
 class TestScaleFactor:

@@ -6,6 +6,7 @@ import pytest
 
 from valuefield.errors import NonFiniteIntegrand, OutOfDomain
 from valuefield.field import (
+    AlphaField,
     AnalyticField,
     ConstantField,
     GridField,
@@ -119,8 +120,17 @@ def _grid_with_one_cell_axis():
                      (0.5, 0.25, 1.0, 0.75))
 
 
+def _grid_with_thick_axes():
+    # every axis has >= 4 samples, so interior rows take the corner-difference gather;
+    # its box is the one-cell-axis grid's box, with exactly representable spacings
+    rng = np.random.default_rng(13)
+    return GridField(rng.normal(size=(5, 5, 7, 7)), (0.0, -1.0, 0.5, 0.0),
+                     (0.25, 0.0625, 0.5, 0.25))
+
+
 @pytest.mark.parametrize("fld", [
     _grid_with_one_cell_axis(),
+    _grid_with_thick_axes(),
     AnalyticField(lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]),
                   domain=((0.0, -1.0, 0.5, 0.0), (1.0, -0.75, 3.5, 1.5))),
     AnalyticField(lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]),
@@ -130,20 +140,45 @@ def _grid_with_one_cell_axis():
     ConstantField(float("nan")),
     TimeOnlyField(lambda s: 0.2 * s ** 2, t_domain=(0.0, 1.0)),
     TimeOnlyField(lambda s: 0.2 * s ** 2, lambda s: 0.4 * s),
-], ids=["grid", "analytic-fd", "analytic-grad", "constant", "constant-int", "constant-nan",
+], ids=["grid", "grid-thick", "analytic-fd", "analytic-grad", "constant", "constant-int", "constant-nan",
         "time-only-fd", "time-only-rate"])
 def test_batch_rows_equal_single_point_calls(fld):
     rng = np.random.default_rng(5)
     # the one-cell-axis grid's box; every other field accepts these points too
     lo, hi = np.array([0.0, -1.0, 0.5, 0.0]), np.array([1.0, -0.75, 3.5, 1.5])
-    pts = np.vstack([lo + (hi - lo) * rng.random((40, 4)),
-                     lo, hi,                                   # all-walls corners
-                     np.where(np.arange(4) == 2, hi, lo + 0.3 * (hi - lo))])  # top edge
-    alphas, grads = fld.alpha(pts), fld.gradient(pts)
-    assert alphas.shape == (len(pts),) and grads.shape == (len(pts), 4)
-    for p, a, g in zip(pts, alphas, grads):
-        assert np.float64(fld.alpha(p)).tobytes() == a.tobytes()
-        assert fld.gradient(p).tobytes() == g.tobytes()
+    inner = lo + (hi - lo) * (0.3 + 0.4 * rng.random((20, 4)))  # the thick grid's interior
+    edges = np.vstack([lo + (hi - lo) * rng.random((40, 4)),
+                       lo, hi,                                   # all-walls corners
+                       np.where(np.arange(4) == 2, hi, lo + 0.3 * (hi - lo))])  # top edge
+    for pts in (inner, edges, np.vstack([edges[:20], inner, edges[20:]])):
+        alphas, grads = fld.alpha(pts), fld.gradient(pts)
+        assert alphas.shape == (len(pts),) and grads.shape == (len(pts), 4)
+        for p, a, g in zip(pts, alphas, grads):
+            assert np.float64(fld.alpha(p)).tobytes() == a.tobytes()
+            assert fld.gradient(p).tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 6, 7, 8), (4, 4, 4, 4), (3, 6, 5, 4)])
+def test_grid_gradient_matches_the_stencil_formula(shape):
+    # interior rows take the corner gather, the rest the stencil formula of the
+    # base class; a 3-sample axis sends every row to the stencil
+    rng = np.random.default_rng(17)
+    spacing = np.array([0.25, 0.1, 0.3, 0.2])
+    fld = GridField(rng.normal(size=shape), (0.5, -1.0, 0.0, 2.0), spacing)
+    lo, hi = fld.domain
+    pts = lo + (hi - lo) * rng.random((12000, 4))
+    # per (row, axis) one in four coordinates sits on a wall, a top edge or
+    # the first or last node whose central stencil still fits
+    pick = rng.integers(0, 16, size=pts.shape)
+    for k, plane in enumerate((lo, hi, lo + spacing, hi - spacing)):
+        pts = np.where(pick == k, plane, pts)
+    got = fld.gradient(pts)
+    want = AlphaField._gradient_rows(fld, pts)
+    bound = 1e-13 * np.max(np.abs(fld.samples)) / spacing
+    assert (np.abs(got - want) <= bound).all()
+    # the walls and top edges give the stencil formula's own bits
+    stencil = ((pts - spacing < lo) | (pts + spacing > hi)).any(axis=1)
+    assert stencil.any() and np.array_equal(got[stencil], want[stencil])
 
 
 def test_grid_alpha_matches_corner_loop_reference():
