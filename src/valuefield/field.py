@@ -18,6 +18,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -53,9 +54,17 @@ class AlphaField:
     ``alpha(p)`` and ``gradient(p)`` take one point, a length-4 array, and
     return a float and a 4-vector, or take an ``(N, 4)`` array of points and
     return ``(N,)`` and ``(N, 4)`` arrays; row i of a batch equals the call on
-    point i. Subclasses implement ``_alpha_rows(rows)`` and, where they have an
-    analytic gradient, ``_gradient_rows(rows)`` on an ``(N, 4)`` array whose
-    rows are finite and inside the domain.
+    point i, bit for bit. Subclasses implement ``_alpha_rows(rows)`` and, where
+    they have an analytic gradient, ``_gradient_rows(rows)`` on an ``(N, 4)``
+    array whose rows are finite and inside the domain.
+
+    A single point is checked on Python floats and handed to the one-point
+    hooks ``_point_alpha(p, x)`` and ``_point_gradient(p, x)``, where ``p`` is
+    the point as a float array of shape (4,) and ``x`` the same point as a list
+    of 4 floats. They return a float and a new float array of shape (4,) equal
+    to row 0 of ``_alpha_rows`` / ``_gradient_rows`` on ``p[None]``, which is
+    what the defaults here compute; subclasses override them only to skip the
+    batch machinery.
 
     ``domain`` is an optional axis-aligned box (lo, hi), each a 4-vector;
     None means unbounded.
@@ -66,19 +75,41 @@ class AlphaField:
 
     def alpha(self, p) -> float | np.ndarray:
         p = np.asarray(p, dtype=float)
-        out = self._alpha_rows(self._require_inside(p))
-        return float(out[0]) if p.ndim == 1 else out
+        if p.ndim == 1:
+            return self._point_alpha(p, self._point(p))
+        return self._alpha_rows(self._require_inside(p))
 
     def gradient(self, p) -> np.ndarray:
         """(d alpha/dt [1/s], d alpha/dx, d alpha/dy, d alpha/dz [1/m]) per point."""
         p = np.asarray(p, dtype=float)
-        out = self._gradient_rows(self._require_inside(p))
-        return out[0] if p.ndim == 1 else out
+        if p.ndim == 1:
+            return self._point_gradient(p, self._point(p))
+        return self._gradient_rows(self._require_inside(p))
+
+    def _point_alpha(self, p: np.ndarray, x: list) -> float:
+        return float(self._alpha_rows(p[None])[0])
+
+    def _point_gradient(self, p: np.ndarray, x: list) -> np.ndarray:
+        return self._gradient_rows(p[None])[0]
 
     def _alpha_rows(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------
+
+    def _point(self, p: np.ndarray) -> list:
+        """The 1-D float array ``p`` as a list of floats, after the checks of
+        :meth:`_require_inside` made on floats; a point that fails them gets
+        that method's own error."""
+        x = p.tolist()
+        if len(x) == 4 and all(map(math.isfinite, x)):
+            if self.domain is None:
+                return x
+            lo, hi = self.domain
+            if all(map(operator.le, lo.tolist(), x)) and all(map(operator.le, x, hi.tolist())):
+                return x
+        self._require_inside(p)
+        return x
 
     def _require_inside(self, p: np.ndarray) -> np.ndarray:
         """The points of float array ``p`` as finite ``(N, 4)`` rows inside the domain."""
@@ -154,6 +185,20 @@ class AnalyticField(AlphaField):
             return super()._gradient_rows(rows)
         return np.fromiter(map(self._grad_fn, rows), _VECTOR, len(rows))
 
+    def _point_alpha(self, p, x):
+        a = self._alpha_fn(p)
+        # what is not a float is converted by np.fromiter, as in a batch, for
+        # the same value or the same error
+        return float(a) if isinstance(a, float) else float(np.fromiter((a,), float, 1)[0])
+
+    def _point_gradient(self, p, x):
+        if self._grad_fn is None:
+            return super()._point_gradient(p, x)
+        g = self._grad_fn(p)
+        out = np.array(g, dtype=float)
+        # likewise what is not 4 numbers
+        return out if out.shape == (4,) else np.fromiter((g,), _VECTOR, 1)[0]
+
 
 class ConstantField(AlphaField):
     """Spatially and temporally constant alpha; mathematics is global here."""
@@ -166,6 +211,12 @@ class ConstantField(AlphaField):
 
     def _gradient_rows(self, rows):
         return np.zeros((len(rows), 4))
+
+    def _point_alpha(self, p, x):
+        return float(self.value)
+
+    def _point_gradient(self, p, x):
+        return np.zeros(4)
 
 
 class GridField(AlphaField):
@@ -191,6 +242,14 @@ class GridField(AlphaField):
         # flat offset of the next sample along each axis, so samples.take(i @ strides)
         # is samples[i]; 0 on an axis of one sample, which has no upper corner
         self._strides = np.append(np.cumprod(sizes[:0:-1])[::-1], 1) * (sizes > 1)
+        # flat offsets from a cell's lowest node of its 16 corners and, for the
+        # one-point gradient, per corner and axis of the next and the previous
+        # sample (shape (2, 4, 16)); None when an axis has fewer than 4 samples,
+        # so no point takes the gather
+        self._corner_offsets = _CORNERS @ self._strides
+        self._neighbour_offsets = (
+            self._corner_offsets + np.array([self._strides, -self._strides])[:, :, None]
+            if (self._last_cell >= 2).all() else None)
 
     def _cell(self, rows, first_cell, last_cell):
         """The flat sample index and the multilinear weight of each of the 16
@@ -200,7 +259,7 @@ class GridField(AlphaField):
         i0 = np.maximum(np.minimum(frac.astype(int), last_cell), first_cell)
         w = (frac - i0)[:, None, :]
         weights = np.where(_CORNERS, w, 1.0 - w).prod(axis=2)
-        return (i0 @ self._strides)[:, None] + _CORNERS @ self._strides, weights
+        return (i0 @ self._strides)[:, None] + self._corner_offsets, weights
 
     def _alpha_rows(self, rows):
         # the top edge stays in the last cell
@@ -235,6 +294,44 @@ class GridField(AlphaField):
         strides = self._strides
         pairs = self.samples.take(corners[:, :, None] + np.concatenate((strides, -strides)))
         terms = weights[:, :, None] * (pairs[:, :, :4] - pairs[:, :, 4:])
+        return np.add.accumulate(terms, axis=1)[:, -1] / (2 * self.spacing)
+
+    def _point_cell(self, x, margin):
+        """:meth:`_cell` on the floats ``x`` of one point, its cell clamped to
+        [margin, n - 2 - margin] per axis: the flat index of the cell's lowest
+        node and the 16 corner weights, each ((v0*v1)*v2)*v3 as ``prod`` forms
+        it, corner 0 first."""
+        base, v = 0, []
+        for xk, o, s, stride, top in zip(x, self.origin.tolist(), self.spacing.tolist(),
+                                         self._strides.tolist(), self._last_cell.tolist()):
+            f = (xk - o) / s
+            i = int(f)
+            i = top - margin if i > top - margin else i  # np.minimum, then np.maximum, as in _cell
+            i = margin if i < margin else i
+            base += i * stride
+            w = f - i
+            v.append((1.0 - w, w))
+        (a0, b0), (a1, b1), (a2, b2), (a3, b3) = v
+        w01 = (a0 * a1, b0 * a1, a0 * b1, b0 * b1)
+        w012 = [w * a2 for w in w01] + [w * b2 for w in w01]
+        return base, [w * a3 for w in w012] + [w * b3 for w in w012]
+
+    def _point_alpha(self, p, x):
+        base, weights = self._point_cell(x, 0)
+        values = self.samples.take(self._corner_offsets + base).tolist()
+        # summed left to right from corner 0's term, as np.add.accumulate sums a
+        # batch row; sum() would start from 0 and turn a -0.0 into 0.0
+        return functools.reduce(operator.add, map(operator.mul, weights, values))
+
+    def _point_gradient(self, p, x):
+        lo, hi = self.domain
+        if self._neighbour_offsets is None or not all(
+                xk - s >= a and xk + s <= b
+                for xk, s, a, b in zip(x, self.spacing.tolist(), lo.tolist(), hi.tolist())):
+            return super()._gradient_rows(p[None])[0]  # the stencil, as for a batch row
+        base, weights = self._point_cell(x, 1)
+        up, down = self.samples.take(self._neighbour_offsets + base)
+        terms = (up - down) * np.array(weights)  # (axis, corner)
         return np.add.accumulate(terms, axis=1)[:, -1] / (2 * self.spacing)
 
     def _fd_steps(self, p: np.ndarray) -> np.ndarray:

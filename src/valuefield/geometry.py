@@ -98,8 +98,13 @@ def metric_at(field: AlphaField, x_ref, y) -> MetricDiag:
 
 def eta_norm(u) -> float:
     """eta_{mu mu} u^mu u^mu; -c^2 for a normalized massive 4-velocity."""
-    u = np.asarray(u, dtype=float)
-    return float(ETA @ (u * u))
+    return _eta_uu(np.asarray(u, dtype=float).tolist())
+
+
+def _eta_uu(u: list) -> float:
+    """eta_norm on four floats, summed left to right."""
+    u0, u1, u2, u3 = u
+    return ((-(u0 * u0) + u1 * u1) + u2 * u2) + u3 * u3
 
 
 def geodesic_rhs(field: AlphaField, state: GeodesicState, c: float) -> np.ndarray:
@@ -199,10 +204,12 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
         return [y[4] / c, y[5], y[6], y[7], *_geodesic_du(field, y[:4], y[4:], c)]
 
     def monitor(y0):
-        alpha0, q0 = field.alpha(y0[:4]), eta_norm(y0[4:])
+        alpha0, q0 = field.alpha(y0[:4]), _eta_uu(y0[4:])
         scale = max(abs(q0), y0[4] ** 2)
+        # np.exp, not math.exp: an overflowing factor gives an inf drift, which
+        # fails the tolerance and so the step, instead of raising OverflowError
         return lambda yv: abs(
-            np.exp(3.0 * (field.alpha(yv[:4]) - alpha0)) * eta_norm(yv[4:]) - q0) / scale
+            np.exp(3.0 * (field.alpha(yv[:4]) - alpha0)) * _eta_uu(yv[4:]) - q0) / scale
 
     ys, drift = _rk4_path(rhs, np.concatenate([init.p, init.u]), cfg, monitor, "geodesic")
     return Trajectory(cfg.step * np.arange(len(ys), dtype=float), ys[:, :4], ys[:, 4:],
@@ -216,14 +223,25 @@ def coordinate_time_rhs(field: AlphaField, p, dpds, gamma: float,
                         particle: ParticleSpec) -> np.ndarray:
     """d/ds of (gamma * dp^mu/ds), the coordinate-time form of the geodesic
     equation: -A_nu gamma dpds^nu dpds^mu + (1/2) etainv_mu A_mu c^2 / gamma."""
+    dpds = np.asarray(dpds, dtype=float).tolist()
+    return np.array(_coordinate_dw(field, p, dpds, gamma, particle))
+
+
+def _coordinate_dw(field: AlphaField, p, dpds: list, gamma: float,
+                   particle: ParticleSpec) -> list:
+    """The coordinate-time equation on floats: four d(gamma dp/ds)/ds from the
+    four floats dpds."""
     if gamma < 1.0:
         raise InvalidEnergy(f"gamma = {gamma!r} < 1 at coordinate time t = {p[0]!r}: "
                             "the particle cannot climb the field")
     c = particle.c
-    a = a_per_meter(field, p, c)
-    dpds = np.asarray(dpds, dtype=float)
-    adp = float(a @ dpds)
-    return -adp * gamma * dpds + 0.5 * ETA * a * c ** 2 / gamma
+    g0, a1, a2, a3 = field.gradient(p).tolist()
+    a0 = g0 / c  # the per-meter temporal component, as in a_per_meter
+    d0, d1, d2, d3 = dpds
+    m = -(((a0 * d0 + a1 * d1) + a2 * d2) + a3 * d3) * gamma  # -(A . dpds) gamma
+    c2 = c ** 2
+    return [m * d0 - 0.5 * a0 * c2 / gamma, m * d1 + 0.5 * a1 * c2 / gamma,
+            m * d2 + 0.5 * a2 * c2 / gamma, m * d3 + 0.5 * a3 * c2 / gamma]
 
 
 def gamma_rate(field: AlphaField, p, dpds, gamma: float, c: float) -> float:
@@ -285,9 +303,8 @@ def integrate_coordinate(field: AlphaField, p0, v0, particle: ParticleSpec,
         s, x1, x2, x3, w0, w1, w2, w3 = y
         gamma = w0 / c
         v1, v2, v3 = w1 / gamma, w2 / gamma, w3 / gamma
-        dw = coordinate_time_rhs(field, [t0 + s, x1, x2, x3], [c, v1, v2, v3], gamma,
-                                 particle)
-        return [1.0, v1, v2, v3, *dw.tolist()]
+        return [1.0, v1, v2, v3,
+                *_coordinate_dw(field, [t0 + s, x1, x2, x3], [c, v1, v2, v3], gamma, particle)]
 
     y0 = np.concatenate([[0.0], p0[1:], gamma0 * np.array([c, *v0])])
     # nothing is monitored: a drift of 0.0 accepts every step at full size

@@ -128,34 +128,135 @@ def _grid_with_thick_axes():
                      (0.25, 0.0625, 0.5, 0.25))
 
 
-@pytest.mark.parametrize("fld", [
-    _grid_with_one_cell_axis(),
-    _grid_with_thick_axes(),
-    AnalyticField(lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]),
-                  domain=((0.0, -1.0, 0.5, 0.0), (1.0, -0.75, 3.5, 1.5))),
-    AnalyticField(lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]),
-                  lambda p: np.cos(p @ [0.1, 0.7, -0.3, 0.2]) * np.array([0.1, 0.7, -0.3, 0.2])),
-    ConstantField(0.4),
-    ConstantField(0),
-    ConstantField(float("nan")),
-    TimeOnlyField(lambda s: 0.2 * s ** 2, t_domain=(0.0, 1.0)),
-    TimeOnlyField(lambda s: 0.2 * s ** 2, lambda s: 0.4 * s),
-], ids=["grid", "grid-thick", "analytic-fd", "analytic-grad", "constant", "constant-int", "constant-nan",
-        "time-only-fd", "time-only-rate"])
+def _grid_with_inexact_spacing():
+    # spacings that are not binary fractions: (lo + h) - h is not always lo, so a
+    # stencil test written as x >= lo + h sends some knife-edge points elsewhere
+    # than x - h >= lo does; the box holds the one-cell-axis grid's box
+    rng = np.random.default_rng(19)
+    return GridField(rng.normal(size=(13, 6, 13, 11)), (-0.1, -1.1, 0.3, -0.3),
+                     (0.1, 0.1, 0.3, 0.2))
+
+
+# the one-cell-axis grid's box; every field below accepts the points inside it
+BOX = np.array([0.0, -1.0, 0.5, 0.0]), np.array([1.0, -0.75, 3.5, 1.5])
+
+FIELDS = {
+    "grid": _grid_with_one_cell_axis(),
+    "grid-thick": _grid_with_thick_axes(),
+    "grid-inexact": _grid_with_inexact_spacing(),
+    # every product is -0.0, and so is a corner sum that starts from corner 0's term
+    "grid-signed-zero": GridField(np.full((3, 5, 4, 4), -0.0), BOX[0], (0.5, 0.0625, 1.0, 0.5)),
+    "analytic-fd": AnalyticField(lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]), domain=BOX),
+    "analytic-grad": AnalyticField(
+        lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]),
+        lambda p: np.cos(p @ [0.1, 0.7, -0.3, 0.2]) * np.array([0.1, 0.7, -0.3, 0.2])),
+    "constant": ConstantField(0.4),
+    "constant-int": ConstantField(0),
+    "constant-nan": ConstantField(float("nan")),
+    "time-only-fd": TimeOnlyField(lambda s: 0.2 * s ** 2, t_domain=(0.0, 1.0)),
+    "time-only-rate": TimeOnlyField(lambda s: 0.2 * s ** 2, lambda s: 0.4 * s),
+}
+
+
+def _knife_edge_points(fld, base):
+    """Copies of the points ``base`` moved, one axis at a time, onto the planes
+    lo + h and hi - h where the field's central stencil starts to fit, and one
+    ulp either side of each, where that is inside the domain; an unbounded
+    axis takes the planes of BOX."""
+    lo, hi = fld.domain if fld.domain is not None else BOX
+    lo, hi = np.where(np.isfinite(lo), lo, BOX[0]), np.where(np.isfinite(hi), hi, BOX[1])
+    h = fld._fd_steps(lo)
+    moved = []
+    for k in range(4):
+        for plane in (lo[k] + h[k], hi[k] - h[k]):
+            for v in (np.nextafter(plane, -np.inf), plane, np.nextafter(plane, np.inf)):
+                if not lo[k] <= v <= hi[k]:  # a one-cell axis: lo + h is hi
+                    continue
+                q = base.copy()
+                q[:, k] = v
+                moved.append(q)
+    return np.vstack(moved)
+
+
+@pytest.mark.parametrize("fld", FIELDS.values(), ids=FIELDS.keys())
 def test_batch_rows_equal_single_point_calls(fld):
     rng = np.random.default_rng(5)
-    # the one-cell-axis grid's box; every other field accepts these points too
-    lo, hi = np.array([0.0, -1.0, 0.5, 0.0]), np.array([1.0, -0.75, 3.5, 1.5])
+    lo, hi = BOX
     inner = lo + (hi - lo) * (0.3 + 0.4 * rng.random((20, 4)))  # the thick grid's interior
     edges = np.vstack([lo + (hi - lo) * rng.random((40, 4)),
                        lo, hi,                                   # all-walls corners
                        np.where(np.arange(4) == 2, hi, lo + 0.3 * (hi - lo))])  # top edge
-    for pts in (inner, edges, np.vstack([edges[:20], inner, edges[20:]])):
+    knife = _knife_edge_points(fld, inner[:3])
+    for pts in (inner, edges, np.vstack([edges[:20], inner, edges[20:]]), knife):
         alphas, grads = fld.alpha(pts), fld.gradient(pts)
         assert alphas.shape == (len(pts),) and grads.shape == (len(pts), 4)
         for p, a, g in zip(pts, alphas, grads):
-            assert np.float64(fld.alpha(p)).tobytes() == a.tobytes()
-            assert fld.gradient(p).tobytes() == g.tobytes()
+            alpha, grad = fld.alpha(p), fld.gradient(p)
+            assert type(alpha) is float and np.float64(alpha).tobytes() == a.tobytes()
+            assert grad.dtype == np.float64 and grad.tobytes() == g.tobytes()
+
+
+def _raised(call, p):
+    with pytest.raises(Exception) as info:
+        call(p)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("fld", FIELDS.values(), ids=FIELDS.keys())
+def test_bad_single_point_raises_as_its_batch_row(fld):
+    lo, hi = BOX
+    mid = lo + 0.5 * (hi - lo)
+    bad = [np.where(np.arange(4) == k, v, mid) for k in (0, 2) for v in (np.nan, np.inf, -np.inf)]
+    if fld.domain is not None:  # one ulp outside each finite wall
+        for k in range(4):
+            for wall, away in zip(fld.domain, (-np.inf, np.inf)):
+                if np.isfinite(wall[k]):
+                    bad.append(np.where(np.arange(4) == k, np.nextafter(wall[k], away), mid))
+    for p in bad:
+        for call in (fld.alpha, fld.gradient):
+            kind, message = _raised(call, p)
+            assert (kind, message) == _raised(call, p[None, :])
+            assert issubclass(kind, OutOfDomain if np.isfinite(p).all() else ValueError)
+    for n in (3, 5):
+        for call in (fld.alpha, fld.gradient):
+            with pytest.raises(ValueError, match=rf"must have shape \(4,\) or \(N, 4\), got \({n},\)"):
+                call(np.resize(mid, n))
+
+
+def test_one_sample_axis_single_points_equal_batch_rows():
+    # the time axis holds one sample: its cell index clamps to 0 although the
+    # last cell index is -1, and the gradient has no stencil along it
+    rng = np.random.default_rng(23)
+    fld = GridField(rng.normal(size=(1, 4, 3, 5)), (2.0, -1.0, 0.5, 0.0), (0.5, 0.25, 1.0, 0.375))
+    lo, hi = fld.domain
+    pts = np.vstack([lo + (hi - lo) * rng.random((30, 4)), lo, hi])
+    for p, a in zip(pts, fld.alpha(pts)):
+        assert np.float64(fld.alpha(p)).tobytes() == a.tobytes()
+    for p in (pts[0], pts[:1]):
+        with pytest.raises(OutOfDomain, match="single point along axis 0"):
+            fld.gradient(p)
+
+
+@pytest.mark.parametrize("value", [3, True, np.float32(0.1), np.float64(-0.0), np.array(0.5), None],
+                         ids=["int", "bool", "float32", "float64", "0-d", "None"])
+def test_alpha_callable_value_converts_as_in_a_batch(value):
+    fld = AnalyticField(lambda p: value)
+    p = spacetime_point(0.1, 0.2, 0.3, 0.4)
+    alpha = fld.alpha(p)
+    assert type(alpha) is float and np.float64(alpha).tobytes() == fld.alpha(p[None, :]).tobytes()
+
+
+def test_alpha_callable_returning_a_sequence_is_refused_on_both_paths():
+    fld = AnalyticField(lambda p: np.array([0.5]))
+    p = spacetime_point(0.1, 0.2, 0.3, 0.4)
+    assert _raised(fld.alpha, p) == _raised(fld.alpha, p[None, :])
+
+
+def test_gradient_callable_of_three_values_is_refused_on_both_paths():
+    fld = AnalyticField(lambda p: 0.0, lambda p: (1.0, 2.0, 3.0))
+    p = spacetime_point(0.1, 0.2, 0.3, 0.4)
+    kind, message = _raised(fld.gradient, p)
+    assert kind is ValueError and (kind, message) == _raised(fld.gradient, p[None, :])
 
 
 @pytest.mark.parametrize("shape", [(5, 6, 7, 8), (4, 4, 4, 4), (3, 6, 5, 4)])

@@ -5,7 +5,8 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from valuefield.errors import InvalidEnergy, LeftDomain
-from valuefield.field import AnalyticField, ConstantField, TimeOnlyField, spacetime_point
+from valuefield.field import (AnalyticField, ConstantField, GridField, TimeOnlyField,
+                              spacetime_point)
 from valuefield.geometry import (
     ETA,
     GeodesicState,
@@ -275,11 +276,16 @@ class TestIntegrateGeodesic:
         minus = geodesic_rhs(space_field(-2e-4), st, C_DESK)
         assert np.array_equal(plus, -minus)
 
-    def test_leaves_domain(self):
-        dom = (spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))
-        fld = AnalyticField(lambda p: 0.0, lambda p: np.zeros(4), domain=dom)
+    @pytest.mark.parametrize("fld", [
+        AnalyticField(lambda p: 0.0, lambda p: np.zeros(4),
+                      domain=(spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))),
+        # the same box; its one-point calls take the gather, then the stencil near a wall
+        GridField(1e-8 * np.random.default_rng(3).normal(size=(5, 5, 5, 5)),
+                  (-1, -1, -1, -1), (0.5, 0.5, 0.5, 0.5)),
+    ], ids=["analytic", "grid"])
+    def test_leaves_domain(self, fld):
         init = GeodesicState(spacetime_point(), np.array([C_DESK, 1.0, 0, 0]))
-        with pytest.raises(LeftDomain):
+        with pytest.raises(LeftDomain, match="geodesic trajectory left the field domain: point"):
             integrate_geodesic(fld, init, IntegratorConfig(step=0.1, span=10.0), C_DESK)
 
     def test_trajectory_csv(self, tmp_path):
@@ -294,6 +300,16 @@ class TestIntegrateGeodesic:
 
 
 class TestCoordinateTime:
+    def test_agrees_with_the_array_formula(self):
+        fld = wave_field()
+        p = spacetime_point(0.1, 0.2, -0.3, 0.4)
+        dpds, gamma = np.array([C_DESK, 0.9, -0.6, 0.5]), 1.3
+        a = a_per_meter(fld, p, C_DESK)
+        assert np.all(a != 0)
+        want = -(a @ dpds) * gamma * dpds + 0.5 * ETA * a * C_DESK ** 2 / gamma
+        got = coordinate_time_rhs(fld, p, dpds, gamma, ParticleSpec(1.0, C_DESK))
+        assert got.shape == (4,) and np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_gradient_free_momentum_conserved(self):
         out = coordinate_time_rhs(ConstantField(0.3), spacetime_point(),
                                   np.array([C_DESK, 0.5, 0, 0]), 1.2,
