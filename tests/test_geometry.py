@@ -276,14 +276,17 @@ class TestIntegrateGeodesic:
         minus = geodesic_rhs(space_field(-2e-4), st, C_DESK)
         assert np.array_equal(plus, -minus)
 
-    @pytest.mark.parametrize("fld", [
-        AnalyticField(lambda p: 0.0, lambda p: np.zeros(4),
-                      domain=(spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))),
+    def test_leaves_domain(self):
+        dom = (spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))
+        fld = AnalyticField(lambda p: 0.0, lambda p: np.zeros(4), domain=dom)
+        init = GeodesicState(spacetime_point(), np.array([C_DESK, 1.0, 0, 0]))
+        with pytest.raises(LeftDomain, match="geodesic trajectory left the field domain: point"):
+            integrate_geodesic(fld, init, IntegratorConfig(step=0.1, span=10.0), C_DESK)
+
+    def test_leaves_grid_domain(self):
         # the same box; its one-point calls take the gather, then the stencil near a wall
-        GridField(1e-8 * np.random.default_rng(3).normal(size=(5, 5, 5, 5)),
-                  (-1, -1, -1, -1), (0.5, 0.5, 0.5, 0.5)),
-    ], ids=["analytic", "grid"])
-    def test_leaves_domain(self, fld):
+        fld = GridField(1e-8 * np.random.default_rng(3).normal(size=(5, 5, 5, 5)),
+                        (-1, -1, -1, -1), (0.5, 0.5, 0.5, 0.5))
         init = GeodesicState(spacetime_point(), np.array([C_DESK, 1.0, 0, 0]))
         with pytest.raises(LeftDomain, match="geodesic trajectory left the field domain: point"):
             integrate_geodesic(fld, init, IntegratorConfig(step=0.1, span=10.0), C_DESK)
