@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._csv import write_csv
+from ._csv import write_column, write_csv
 from .errors import NonFiniteIntegrand, OutOfDomain
 
 _REL_FD_STEP = 1e-5  # default finite-difference step, relative to domain extent
@@ -223,21 +223,24 @@ class GridField(AlphaField):
     """Alpha sampled on a uniform 4-D box; multilinear interpolation in between."""
 
     def __init__(self, samples, origin, spacing):
-        self.samples = np.ascontiguousarray(samples, dtype=float)  # a flat take copies nothing
-        if self.samples.ndim != 4:
+        samples = np.ascontiguousarray(samples, dtype=float)  # a flat take copies nothing
+        if samples.ndim != 4:
             raise ValueError("grid samples must be a 4-D array")
-        if not np.all(np.isfinite(self.samples)):
+        if not np.all(np.isfinite(samples)):
             raise ValueError("grid samples contain non-finite values")
-        self.origin = np.asarray(origin, dtype=float)
-        self.spacing = np.asarray(spacing, dtype=float)
-        if self.origin.shape != (4,) or self.spacing.shape != (4,):
+        origin = np.array(origin, dtype=float)
+        spacing = np.array(spacing, dtype=float)
+        if origin.shape != (4,) or spacing.shape != (4,):
             raise ValueError("grid origin and spacing must have shape (4,)")
-        if not (np.isfinite(self.origin).all() and np.isfinite(self.spacing).all()
-                and (self.spacing > 0).all()):
+        if not (np.isfinite(origin).all() and np.isfinite(spacing).all()
+                and (spacing > 0).all()):
             raise ValueError("grid origin must be finite, and spacing finite and positive")
-        sizes = np.array(self.samples.shape)
-        hi = self.origin + self.spacing * (sizes - 1)
-        self.domain = (self.origin.copy(), hi)
+        sizes = np.array(samples.shape)
+        self._samples, self._origin, self._spacing = samples.view(), origin, spacing
+        self._domain = (origin.copy(), origin + spacing * (sizes - 1))
+        # read-only: the domain, the strides and the gather offsets are derived once
+        for a in (self._samples, origin, spacing, *self._domain):
+            a.flags.writeable = False
         self._last_cell = sizes - 2
         # flat offset of the next sample along each axis, so samples.take(i @ strides)
         # is samples[i]; 0 on an axis of one sample, which has no upper corner
@@ -251,11 +254,16 @@ class GridField(AlphaField):
             self._corner_offsets + np.array([self._strides, -self._strides])[:, :, None]
             if (self._last_cell >= 2).all() else None)
 
+    samples = property(lambda self: self._samples, doc="The 4-D sample array (read-only).")
+    origin = property(lambda self: self._origin, doc="The lowest node (t, x, y, z) (read-only).")
+    spacing = property(lambda self: self._spacing, doc="The node spacing per axis (read-only).")
+    domain = property(lambda self: self._domain, doc="The box (origin, top node) (read-only).")
+
     def _cell(self, rows, first_cell, last_cell):
         """The flat sample index and the multilinear weight of each of the 16
         corners of each row's cell, whose lowest node is clamped to
         [first_cell, last_cell] per axis."""
-        frac = (rows - self.origin) / self.spacing
+        frac = (rows - self._origin) / self._spacing
         i0 = np.maximum(np.minimum(frac.astype(int), last_cell), first_cell)
         w = (frac - i0)[:, None, :]
         weights = np.where(_CORNERS, w, 1.0 - w).prod(axis=2)
@@ -265,7 +273,7 @@ class GridField(AlphaField):
         # the top edge stays in the last cell
         corners, weights = self._cell(rows, 0, self._last_cell)
         # summed corner by corner in a fixed order, so a row does not depend on its batch
-        return np.add.accumulate(weights * self.samples.take(corners), axis=1)[:, -1]
+        return np.add.accumulate(weights * self._samples.take(corners), axis=1)[:, -1]
 
     def _gradient_rows(self, rows):
         """The central difference (f(x + h_k) - f(x - h_k)) / 2h_k one spacing
@@ -275,8 +283,9 @@ class GridField(AlphaField):
         differences (s[i+1] - s[i-1]) / 2h_k: one gather of both neighbours of
         the 16 corners along every axis. Other rows (walls, top edges, axes of
         fewer than 4 samples) take the stencil formula of the base class."""
-        lo, hi = self.domain
-        inside = (rows - self.spacing >= lo) & (rows + self.spacing <= hi) & (self._last_cell >= 2)
+        lo, hi = self._domain
+        h = self._spacing
+        inside = (rows - h >= lo) & (rows + h <= hi) & (self._last_cell >= 2)
         if inside.all():
             return self._corner_differences(rows)
         inner = inside.all(axis=1)
@@ -292,9 +301,9 @@ class GridField(AlphaField):
         # clamping the cell to [1, n-3] keeps every neighbour in [0, n-1]
         corners, weights = self._cell(rows, 1, self._last_cell - 1)
         strides = self._strides
-        pairs = self.samples.take(corners[:, :, None] + np.concatenate((strides, -strides)))
+        pairs = self._samples.take(corners[:, :, None] + np.concatenate((strides, -strides)))
         terms = weights[:, :, None] * (pairs[:, :, :4] - pairs[:, :, 4:])
-        return np.add.accumulate(terms, axis=1)[:, -1] / (2 * self.spacing)
+        return np.add.accumulate(terms, axis=1)[:, -1] / (2 * self._spacing)
 
     def _point_cell(self, x, margin):
         """:meth:`_cell` on the floats ``x`` of one point, its cell clamped to
@@ -302,7 +311,7 @@ class GridField(AlphaField):
         node and the 16 corner weights, each ((v0*v1)*v2)*v3 as ``prod`` forms
         it, corner 0 first."""
         base, v = 0, []
-        for xk, o, s, stride, top in zip(x, self.origin.tolist(), self.spacing.tolist(),
+        for xk, o, s, stride, top in zip(x, self._origin.tolist(), self._spacing.tolist(),
                                          self._strides.tolist(), self._last_cell.tolist()):
             f = (xk - o) / s
             i = int(f)
@@ -318,36 +327,44 @@ class GridField(AlphaField):
 
     def _point_alpha(self, p, x):
         base, weights = self._point_cell(x, 0)
-        values = self.samples.take(self._corner_offsets + base).tolist()
+        values = self._samples.take(self._corner_offsets + base).tolist()
         # summed left to right from corner 0's term, as np.add.accumulate sums a
         # batch row; sum() would start from 0 and turn a -0.0 into 0.0
         return functools.reduce(operator.add, map(operator.mul, weights, values))
 
     def _point_gradient(self, p, x):
-        lo, hi = self.domain
+        lo, hi = self._domain
         if self._neighbour_offsets is None or not all(
                 xk - s >= a and xk + s <= b
-                for xk, s, a, b in zip(x, self.spacing.tolist(), lo.tolist(), hi.tolist())):
+                for xk, s, a, b in zip(x, self._spacing.tolist(), lo.tolist(), hi.tolist())):
             return super()._gradient_rows(p[None])[0]  # the stencil, as for a batch row
         base, weights = self._point_cell(x, 1)
-        up, down = self.samples.take(self._neighbour_offsets + base)
+        up, down = self._samples.take(self._neighbour_offsets + base)
         terms = (up - down) * np.array(weights)  # (axis, corner)
-        return np.add.accumulate(terms, axis=1)[:, -1] / (2 * self.spacing)
+        return np.add.accumulate(terms, axis=1)[:, -1] / (2 * self._spacing)
 
     def _fd_steps(self, p: np.ndarray) -> np.ndarray:
-        return self.spacing.copy()
+        return self._spacing.copy()
 
     @classmethod
     def from_csv(cls, path) -> "GridField":
-        """Load a grid field from the CSV layout written by :meth:`to_csv`."""
+        """Load a grid field from the CSV layout written by :meth:`to_csv`:
+        three header rows, then one sample per line. A sample line that is
+        blank or not one number raises ``ValueError``."""
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header = {row[0]: [float(v) for v in row[1:]] for row in rows[:3]}
-        for key in ("axis_sizes", "h_per_axis", "origin"):
-            if key not in header:
-                raise ValueError(f"grid CSV missing header row {key!r}")
-        sizes = [int(v) for v in header["axis_sizes"]]
-        flat = np.array([float(row[0]) for row in rows[3:]])
+            header = {row[0]: [float(v) for v in row[1:]]
+                      for row in itertools.islice(csv.reader(fh), 3) if row}
+            for key in ("axis_sizes", "h_per_axis", "origin"):
+                if key not in header:
+                    raise ValueError(f"grid CSV missing header row {key!r}")
+            sizes = header["axis_sizes"]
+            if not all(v.is_integer() and v >= 1 for v in sizes):
+                raise ValueError(f"grid CSV axis_sizes must be positive integers, got {sizes}")
+            sizes = [int(v) for v in sizes]
+            try:  # float() strips the line's end and refuses a blank or a '#' line
+                flat = np.fromiter(map(float, fh), dtype=float)
+            except ValueError as err:
+                raise ValueError(f"grid CSV sample line is not one number: {err}") from err
         if flat.size != np.prod(sizes):
             raise ValueError(
                 f"grid CSV sample count {flat.size} != product of axis_sizes {sizes}"
@@ -355,9 +372,12 @@ class GridField(AlphaField):
         return cls(flat.reshape(sizes), header["origin"], header["h_per_axis"])
 
     def to_csv(self, path) -> None:
-        write_csv(path, ["axis_sizes", *self.samples.shape], itertools.chain(
-            [["h_per_axis", *self.spacing], ["origin", *self.origin]],
-            ([v] for v in self.samples.ravel())))
+        """Write the layout :meth:`from_csv` reads: three header rows, then
+        one sample per line in C order."""
+        with open(path, "w", newline="") as fh:
+            write_csv(fh, ["axis_sizes", *self._samples.shape],
+                      [["h_per_axis", *self._spacing], ["origin", *self._origin]])
+            write_column(fh, self._samples.ravel())
 
 
 class TimeOnlyField(AnalyticField):

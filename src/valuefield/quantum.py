@@ -137,7 +137,13 @@ class TimeScaling:
 
 
 class _CrankNicolson:
-    """Cached unitary substep for a fixed (grid, Hamiltonian, dt)."""
+    """Cached unitary substep for a fixed (grid, Hamiltonian, dt).
+
+    The fd kinetic operator's constant tridiagonal left-hand matrix is LU
+    factored once, with partial pivoting (LAPACK ``zgttrf``); each step is one
+    substitution on the stored factors (``zgttrs``). That is the elimination
+    of a fresh tridiagonal solve (``zgtsv``), so the amplitudes are the same.
+    """
 
     def __init__(self, n: int, dy: float, ham: HamiltonianSpec, dt: float):
         self.ham = ham
@@ -148,13 +154,13 @@ class _CrankNicolson:
             energy = (ham.hbar * k) ** 2 / (2.0 * ham.mass)
             self.mult = (1.0 - 1j * lam * energy) / (1.0 + 1j * lam * energy)
         else:
+            from scipy.linalg.lapack import zgttrf, zgttrs  # deferred: slow to import, fd only
             kappa = ham.hbar ** 2 / (2.0 * ham.mass * dy ** 2)
             diag = np.full(n, 2.0 * kappa)
             off = np.full(n - 1, -kappa)
-            self.ab = np.zeros((3, n), dtype=complex)
-            self.ab[0, 1:] = 1j * lam * off
-            self.ab[1, :] = 1.0 + 1j * lam * diag
-            self.ab[2, :-1] = 1j * lam * off
+            *self.lu, info = zgttrf(1j * lam * off, 1.0 + 1j * lam * diag, 1j * lam * off)
+            _check_lapack("zgttrf", info)
+            self.gttrs = zgttrs
             self.b_diag = 1.0 - 1j * lam * diag
             self.b_off = -1j * lam * off
 
@@ -164,8 +170,18 @@ class _CrankNicolson:
         rhs = self.b_diag * psi
         rhs[:-1] += self.b_off * psi[1:]
         rhs[1:] += self.b_off * psi[:-1]
-        from scipy.linalg import solve_banded  # deferred: slow to import, fd only
-        return solve_banded((1, 1), self.ab, rhs)
+        x, info = self.gttrs(*self.lu, rhs, overwrite_b=True)
+        _check_lapack("zgttrs", info)
+        return x
+
+
+def _check_lapack(name: str, info: int) -> None:
+    """Raise ``LinAlgError`` on a nonzero LAPACK ``info``: a singular matrix
+    (info > 0, worded as ``solve_banded`` words it) or an illegal argument."""
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise np.linalg.LinAlgError(f"illegal value in argument {-info} of {name}")
 
 
 def schrodinger_step(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -502,3 +503,73 @@ class TestGridCsv:
         path.write_text("axis_sizes,2,2,2,2\norigin,0,0,0,0\n")
         with pytest.raises(ValueError):
             GridField.from_csv(path)
+
+    def test_golden_bytes(self, tmp_path):
+        fld = GridField(np.array([0.1, -0.0, 1e-5, 2.5]).reshape(2, 1, 1, 2),
+                        (0.0, -1.0, 0.5, 3.0), (0.5, 1.0, 1.0, 0.25))
+        path = tmp_path / "grid.csv"
+        fld.to_csv(path)
+        assert path.read_bytes() == (b"axis_sizes,2,1,1,2\r\n"
+                                     b"h_per_axis,0.5,1.0,1.0,0.25\r\n"
+                                     b"origin,0.0,-1.0,0.5,3.0\r\n"
+                                     b"0.1\r\n-0.0\r\n1e-05\r\n2.5\r\n")
+
+    def test_round_trip_is_bit_exact_at_the_float_extremes(self, tmp_path):
+        samples = np.array([-0.0, 5e-324, 1e308, -5e-324]).reshape(1, 2, 1, 2)
+        fld = GridField(samples, (-0.0, 5e-324, 1e308, 0.0), (5e-324, 1e308, 1.0, 1.0))
+        path = tmp_path / "grid.csv"
+        fld.to_csv(path)
+        back = GridField.from_csv(path)
+        for got, want in ((back.samples, samples), (back.origin, fld.origin),
+                          (back.spacing, fld.spacing)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    HEADER = "axis_sizes,2,1,1,2\r\nh_per_axis,1,1,1,1\r\norigin,0,0,0,0\r\n"
+
+    @pytest.mark.parametrize("body", [
+        "0\r\n\r\n1\r\n2\r\n3\r\n",  # a blank line among the samples
+        "0\r\n1\r\n2\r\n3\r\n\r\n",  # a blank line after them
+        "0\r\n1\r\nx\r\n3\r\n",  # not a number
+        "0\r\n1\r\n2,5\r\n3\r\n",  # two cells
+        "0\r\n#1\r\n2\r\n3\r\n",  # not a comment: a '#' row is refused
+        "0\r\n1\r\n2\r\n",  # too few
+        "0\r\n1\r\n2\r\n3\r\n4\r\n",  # too many
+        "",  # the header rows only
+    ], ids=["blank-inside", "blank-after", "word", "two-cells", "hash", "too-few",
+            "too-many", "header-only"])
+    def test_bad_sample_rows_are_refused(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes((self.HEADER + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid CSV sample"):
+                GridField.from_csv(path)
+
+    def test_good_sample_rows_are_read(self, tmp_path):
+        path = tmp_path / "good.csv"
+        path.write_bytes((self.HEADER + "0\r\n1.5\r\n-2e-3\r\n3").encode())
+        assert GridField.from_csv(path).samples.ravel().tolist() == [0.0, 1.5, -2e-3, 3.0]
+
+    @pytest.mark.parametrize("sizes", ["2.5,1,1,2", "0,1,1,2", "-2,1,1,2", "nan,1,1,2"])
+    def test_axis_sizes_must_be_positive_integers(self, tmp_path, sizes):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"axis_sizes,{sizes}\nh_per_axis,1,1,1,1\norigin,0,0,0,0\n0\n1\n2\n3\n")
+        with pytest.raises(ValueError, match="axis_sizes must be positive integers"):
+            GridField.from_csv(path)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("samples", np.ones((3, 3, 3, 3))), ("origin", np.ones(4)), ("spacing", np.ones(4)),
+    ("domain", (np.zeros(4), np.full(4, 9.0)))])
+def test_grid_state_is_read_only(name, value):
+    fld = GridField(np.arange(16.0).reshape(2, 2, 2, 2), (0, 0, 0, 0), (1, 1, 1, 1))
+    with pytest.raises(AttributeError):
+        setattr(fld, name, value)
+    arrays = fld.domain if name == "domain" else (getattr(fld, name),)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5.0
+    assert fld.domain[1].tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert fld.alpha(spacetime_point(1.0, 1.0, 1.0, 1.0)) == 15.0
+    with pytest.raises(OutOfDomain):
+        fld.alpha(spacetime_point(1.5, 0.5, 0.5, 0.5))

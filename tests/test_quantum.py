@@ -9,6 +9,8 @@ from valuefield.quantum import (
     HamiltonianSpec,
     TimeScaling,
     WaveFunction1D,
+    _check_lapack,
+    _CrankNicolson,
     evolve,
     free_particle_effective_energy,
     gaussian_packet,
@@ -151,6 +153,35 @@ class TestEvolution:
         ham = HamiltonianSpec("fd")
         out = evolve(psi, ham, TimeScaling.zero(), dt=1e-3, n_steps=300)
         assert abs(out.norm_sq() - 1.0) <= 1e-10
+
+    def test_fd_step_equals_a_fresh_banded_solve_bit_for_bit(self):
+        from scipy.linalg import solve_banded  # the reference the factored step replaces
+        n, dy, dt = 300, 0.1, 0.05
+        ham = HamiltonianSpec("fd", mass=0.7, hbar=1.3)
+        cn = _CrankNicolson(n, dy, ham, dt)
+        lam = dt / (2.0 * ham.hbar)
+        kappa = ham.hbar ** 2 / (2.0 * ham.mass * dy ** 2)
+        off = np.full(n - 1, -kappa)
+        ab = np.zeros((3, n), dtype=complex)
+        ab[0, 1:] = 1j * lam * off
+        ab[1, :] = 1.0 + 1j * lam * np.full(n, 2.0 * kappa)
+        ab[2, :-1] = 1j * lam * off
+        rng = np.random.default_rng(11)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        want = psi.copy()
+        for _ in range(200):
+            psi = cn.apply(psi)
+            rhs = cn.b_diag * want
+            rhs[:-1] += cn.b_off * want[1:]
+            rhs[1:] += cn.b_off * want[:-1]
+            want = solve_banded((1, 1), ab, rhs)
+            assert np.array_equal(psi.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("info", [1, 7, -2])
+    def test_a_failed_lapack_call_raises_linalg_error(self, info):
+        with pytest.raises(np.linalg.LinAlgError):
+            _check_lapack("zgttrs", info)
+        _check_lapack("zgttrs", 0)
 
     def test_second_order_grid_refinement(self):
         # moving packet: <y>(T) = y0 + (hbar k0 / m) T for the exact dynamics;
