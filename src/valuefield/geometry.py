@@ -133,9 +133,6 @@ class Trajectory:
     u: np.ndarray
     norm_drift: float = 0.0
 
-    def final(self) -> GeodesicState:
-        return GeodesicState(self.p[-1].copy(), self.u[-1].copy())
-
     def gamma(self, c: float) -> np.ndarray:
         return self.u[:, 0] / c
 

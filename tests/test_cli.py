@@ -116,6 +116,25 @@ class TestExitCodes:
         failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
         assert len(failed) == 1 and "free_spreading_variance" in failed[0]
 
+    @pytest.mark.parametrize("mutate, row", [
+        (lambda mp: mp.setitem(cosmology._SEGMENT_SLOPES, "radiation", 0.55),
+         "radiation_friedmann_rel_residual"),
+        (lambda mp: mp.setitem(cosmology._SEGMENT_SLOPES, "matter", 0.7),
+         "matter_friedmann_rel_residual"),
+        (lambda mp: mp.setattr(cosmology, "vacuum_rate",
+                               lambda p, rate=cosmology.vacuum_rate: 1.01 * rate(p)),
+         "vacuum_friedmann_rel_residual"),
+    ], ids=["radiation-slope", "matter-slope", "vacuum-rate"])
+    def test_wrong_era_profile_fails_its_friedmann_row(self, tmp_path, capsys,
+                                                       monkeypatch, mutate, row):
+        # each era row checks the package's own profile, so a wrong exponent
+        # or vacuum rate fails it and only it
+        mutate(monkeypatch)
+        cfg = write_config(tmp_path, "cosmology")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1 and row in failed[0]
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cosmology", {"omega_v": "0.6"})
         code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
@@ -326,11 +345,22 @@ class TestDemo:
         assert main(["validate", str(tmp_path / "field-calculus.cfg")]) == 0
 
 
-def test_importing_the_cli_loads_no_scipy_solver():
-    # scipy.linalg and scipy.integrate are imported where they are used
+def _loaded_after(code):
+    """Names in sys.modules after running ``code`` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(valuefield.__file__).parents[1])}
-    code = ("import sys, valuefield.cli; "
-            "print(sorted({'scipy.linalg', 'scipy.integrate'} & set(sys.modules)))")
+    code += "; import sys; print(' '.join(sorted(sys.modules)), file=sys.stderr)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stderr.split())
+
+
+def test_importing_the_cli_loads_no_scipy_solver():
+    # scipy.linalg is imported only by the fd Crank-Nicolson step, which uses it
+    loaded = _loaded_after("import valuefield.cli")
+    assert {"scipy.linalg", "scipy.integrate"} & loaded == set()
+
+
+def test_default_cosmology_run_loads_no_scipy(tmp_path):
+    loaded = _loaded_after("from valuefield.cli import main; "
+                           f"assert main(['demo', 'cosmology', '--out', {str(tmp_path)!r}]) == 0")
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
