@@ -18,7 +18,6 @@ finite-difference one a Dirichlet tridiagonal stencil.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -67,6 +66,13 @@ class WaveFunction1D:
 
     def probability_density(self) -> np.ndarray:
         return np.abs(self.psi) ** 2
+
+    def _replaced(self, psi: np.ndarray, t: float) -> "WaveFunction1D":
+        """Copy on the same grid holding ``psi`` at ``t``, without re-checking:
+        the grid is known uniform and the caller knows ``psi`` is finite."""
+        out = object.__new__(WaveFunction1D)
+        out.y, out.psi, out.t = self.y, psi, t
+        return out
 
 
 def gaussian_packet(y, y0=0.0, sigma=1.0, k0=0.0) -> WaveFunction1D:
@@ -139,6 +145,11 @@ class TimeScaling:
 class _CrankNicolson:
     """Cached unitary substep for a fixed (grid, Hamiltonian, dt).
 
+    ``apply`` works in the substep's own basis. For the spectral kinetic
+    operator that is Fourier space, where the Crank-Nicolson multiplier is
+    diagonal; for fd it is position space. ``into`` and ``position`` move a
+    state into that basis and back.
+
     The fd kinetic operator's constant tridiagonal left-hand matrix is LU
     factored once, with partial pivoting (LAPACK ``zgttrf``); each step is one
     substitution on the stored factors (``zgttrs``). That is the elimination
@@ -146,10 +157,9 @@ class _CrankNicolson:
     """
 
     def __init__(self, n: int, dy: float, ham: HamiltonianSpec, dt: float):
-        self.ham = ham
-        self.dt = dt
+        self.spectral = ham.kind == "spectral"
         lam = dt / (2.0 * ham.hbar)
-        if ham.kind == "spectral":
+        if self.spectral:
             k = 2.0 * math.pi * np.fft.fftfreq(n, d=dy)
             energy = (ham.hbar * k) ** 2 / (2.0 * ham.mass)
             self.mult = (1.0 - 1j * lam * energy) / (1.0 + 1j * lam * energy)
@@ -164,9 +174,19 @@ class _CrankNicolson:
             self.b_diag = 1.0 - 1j * lam * diag
             self.b_off = -1j * lam * off
 
+    def into(self, psi: WaveFunction1D) -> WaveFunction1D:
+        """``psi`` in the substep's basis: a copy holding its Fourier amplitudes
+        for spectral, ``psi`` itself for fd."""
+        return psi._replaced(np.fft.fft(psi.psi), psi.t) if self.spectral else psi
+
+    def position(self, state: WaveFunction1D) -> WaveFunction1D:
+        """Inverse of :meth:`into`: a copy holding the position amplitudes for
+        spectral, ``state`` itself for fd."""
+        return state._replaced(np.fft.ifft(state.psi), state.t) if self.spectral else state
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        if self.ham.kind == "spectral":
-            return np.fft.ifft(self.mult * np.fft.fft(psi))
+        if self.spectral:
+            return self.mult * psi
         rhs = self.b_diag * psi
         rhs[:-1] += self.b_off * psi[1:]
         rhs[1:] += self.b_off * psi[:-1]
@@ -186,31 +206,49 @@ def _check_lapack(name: str, info: int) -> None:
 
 def schrodinger_step(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,
                      dt: float, _cn: _CrankNicolson | None = None) -> WaveFunction1D:
-    """Advance one step of i hbar (d/dt + A(t)) psi = H psi."""
+    """Advance one step of i hbar (d/dt + A(t)) psi = H psi.
+
+    Given the cached substep ``_cn`` (built for this ``dt``), ``psi.psi`` is
+    already in ``_cn``'s basis (Fourier amplitudes for spectral, see
+    :meth:`_CrankNicolson.into`) and the result stays in it. Without ``_cn``
+    the step takes and returns position amplitudes.
+    """
     require_finite_positive("dt", dt)
-    cn = _cn if _cn is not None and _cn.dt == dt else _CrankNicolson(
-        psi.psi.size, psi.dy, ham, dt)
+    cn = _cn if _cn is not None else _CrankNicolson(psi.psi.size, psi.dy, ham, dt)
+    state = psi if _cn is not None else cn.into(psi)
     damping = math.exp(-scaling.damping_exponent(psi.t, psi.t + dt))
-    out = damping * cn.apply(psi.psi)
-    if not np.all(np.isfinite(out.view(float))):
+    out = damping * cn.apply(state.psi)
+    if not np.isfinite(out.view(float)).all():
         raise StepUnstable("non-finite amplitudes after step")
-    step = copy.copy(psi)  # no re-check: psi's grid is unchanged and out is finite
-    step.psi, step.t = out, psi.t + dt
-    return step
+    state = state._replaced(out, psi.t + dt)
+    return state if _cn is not None else cn.position(state)
 
 
 def evolve(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,
-           dt: float, n_steps: int, observer: Callable | None = None) -> WaveFunction1D:
+           dt: float, n_steps: int, observer: Callable | None = None,
+           every: int = 1) -> WaveFunction1D:
     """Run n_steps of :func:`schrodinger_step`, reusing the cached substep.
 
-    ``observer(step_index, psi)`` is called after every step when given.
+    The state stays in the substep's basis between observations. For the
+    spectral Hamiltonian that is Fourier space: one FFT at the start and one
+    inverse FFT per observed state and for the returned one, instead of two
+    FFTs per step. Each step still goes through :func:`schrodinger_step`.
+
+    ``observer(step_index, psi)`` is called after every ``every``-th step
+    (step_index = every, 2 every, ...), with ``psi`` in position space.
+    ``n_steps == 0`` returns ``psi`` itself.
     """
+    if every < 1:
+        raise ValueError(f"every must be a positive step count, got {every!r}")
+    if n_steps <= 0:
+        return psi
     cn = _CrankNicolson(psi.psi.size, psi.dy, ham, dt)
-    for i in range(n_steps):
-        psi = schrodinger_step(psi, ham, scaling, dt, _cn=cn)
-        if observer is not None:
-            observer(i + 1, psi)
-    return psi
+    state = cn.into(psi)
+    for i in range(1, n_steps + 1):
+        state = schrodinger_step(state, ham, scaling, dt, _cn=cn)
+        if observer is not None and i % every == 0:
+            observer(i, cn.position(state))
+    return cn.position(state)
 
 
 def position_expectation(psi: WaveFunction1D, field: AlphaField, x_ref) -> float:

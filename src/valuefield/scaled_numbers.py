@@ -22,12 +22,21 @@ from .errors import MixedScales, NotInBaseSet
 
 
 def _check_scale(s) -> None:
-    if not (s > 0):
+    if not (s.numerator > 0 if type(s) is Fraction else s > 0):
         raise ValueError(f"scale factor must be positive, got {s!r}")
 
 
+_EXACT = (int, Fraction)
+
+
 def _ratio(num, den):
-    """num/den, kept exact when both ends are rational."""
+    """num/den, kept exact when both ends are rational.
+
+    ints and Fractions divide as they are (int/int through ``Fraction(num,
+    den)``); other Rationals, bool among them, are wrapped in Fraction first.
+    """
+    if type(num) in _EXACT and type(den) in _EXACT:
+        return Fraction(num, den) if type(num) is int and type(den) is int else num / den
     if isinstance(num, Rational) and isinstance(den, Rational):
         return Fraction(num) / Fraction(den)
     return num / den

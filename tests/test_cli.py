@@ -334,6 +334,13 @@ class TestGoldenVectors:
             transport, _, _ = commutation_table(s, t, row["op"], a, b)
             assert transport == Fraction(row["expected"])
 
+    def test_default_golden_csv_bytes_are_pinned(self, tmp_path):
+        import hashlib
+
+        run_scenario("arithmetic-check", {}, tmp_path)
+        digest = hashlib.sha256((tmp_path / "arithmetic_golden.csv").read_bytes()).hexdigest()
+        assert digest == "00f9f19ae102fef59d1bfcdaecef261d78a971e842b5df8243a47dced3e9bf8e"
+
 
 class TestDemo:
     def test_demo_writes_config_and_report(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from valuefield import quantum
 from valuefield.errors import NotNormalized
 from valuefield.field import AnalyticField, ConstantField, spacetime_point
 from valuefield.quantum import (
@@ -23,6 +24,34 @@ from valuefield.quantum import (
 
 def grid(n=1024, half_width=40.0, center=0.0):
     return np.linspace(center - half_width, center + half_width, n, endpoint=False)
+
+
+SCALINGS = {
+    "constant": TimeScaling.constant(0.25),
+    "varying": TimeScaling(alpha=lambda t: 0.2 * t + 0.05 * math.sin(3 * t)),
+    "zero": TimeScaling.zero(),
+}
+
+
+def reference_steps(psi, ham, scaling, dt, n_steps):
+    """The position-space loop, one step at a time: the damping factor times
+    ifft(mult * fft(psi)) for spectral, times the fd solve for fd. Returns the
+    (t, amplitudes) after each step."""
+    cn = _CrankNicolson(psi.psi.size, psi.dy, ham, dt)
+    amp, t, out = psi.psi, psi.t, []
+    for _ in range(n_steps):
+        damping = math.exp(-scaling.damping_exponent(t, t + dt))
+        if ham.kind == "spectral":
+            kinetic = np.fft.ifft(cn.mult * np.fft.fft(amp))
+        else:
+            kinetic = cn.apply(amp)
+        amp, t = damping * kinetic, t + dt
+        out.append((t, amp))
+    return out
+
+
+def bits(amp):
+    return amp.view(np.uint64)
 
 
 class TestWaveFunction:
@@ -201,6 +230,89 @@ class TestEvolution:
         ratio = errs[0] / errs[1]
         assert 2.5 <= ratio <= 6.0
 
+
+class TestSubstepBasis:
+    """``evolve`` keeps the state in the substep's basis (Fourier space for the
+    spectral kinetic operator) and hands position-space states to its observer."""
+
+    N_STEPS, DT = 200, 2e-3
+
+    def packet(self):
+        return gaussian_packet(grid(n=256, half_width=20.0), y0=1.0, sigma=1.2, k0=0.7)
+
+    def observed_run(self, ham, scaling, **kwargs):
+        seen = []
+        out = evolve(self.packet(), ham, scaling, self.DT, self.N_STEPS,
+                     observer=lambda i, state: seen.append((i, state.t, state.psi)), **kwargs)
+        return out, seen
+
+    @pytest.mark.parametrize("every", [1, 7, 20])
+    @pytest.mark.parametrize("scaling", SCALINGS.values(), ids=SCALINGS.keys())
+    def test_spectral_evolve_matches_the_position_space_loop(self, scaling, every):
+        ham = HamiltonianSpec("spectral", mass=0.8, hbar=1.1)
+        want = reference_steps(self.packet(), ham, scaling, self.DT, self.N_STEPS)
+        out, seen = self.observed_run(ham, scaling, every=every)
+        assert [i for i, _, _ in seen] == list(range(every, self.N_STEPS + 1, every))
+        for i, t, amp in seen:
+            assert t == want[i - 1][0]
+            assert np.max(np.abs(amp - want[i - 1][1])) <= 1e-12
+        assert out.t == want[-1][0]
+        assert np.max(np.abs(out.psi - want[-1][1])) <= 1e-12
+
+    @pytest.mark.parametrize("every", [None, 1, 7])
+    @pytest.mark.parametrize("scaling", SCALINGS.values(), ids=SCALINGS.keys())
+    def test_fd_evolve_is_the_position_space_loop_bit_for_bit(self, scaling, every):
+        ham = HamiltonianSpec("fd", mass=0.8, hbar=1.1)
+        want = reference_steps(self.packet(), ham, scaling, self.DT, self.N_STEPS)
+        out, seen = self.observed_run(ham, scaling, **({} if every is None else {"every": every}))
+        assert [i for i, _, _ in seen] == list(range(every or 1, self.N_STEPS + 1, every or 1))
+        for i, t, amp in seen:
+            assert t == want[i - 1][0]
+            assert np.array_equal(bits(amp), bits(want[i - 1][1]))
+        assert np.array_equal(bits(out.psi), bits(want[-1][1]))
+
+    @pytest.mark.parametrize("kind", ["spectral", "fd"])
+    def test_one_step_without_a_cached_substep(self, kind):
+        ham = HamiltonianSpec(kind, mass=0.8, hbar=1.1)
+        scaling = SCALINGS["varying"]
+        psi = self.packet()
+        (t, want), = reference_steps(psi, ham, scaling, self.DT, 1)
+        out = schrodinger_step(psi, ham, scaling, self.DT)
+        assert out.t == t
+        if kind == "fd":
+            assert np.array_equal(bits(out.psi), bits(want))
+        else:
+            assert np.max(np.abs(out.psi - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["spectral", "fd"])
+    def test_zero_steps_return_the_input_amplitudes(self, kind):
+        psi = self.packet()
+        seen = []
+        out = evolve(psi, HamiltonianSpec(kind), SCALINGS["constant"], self.DT, 0,
+                     observer=lambda *a: seen.append(a))
+        assert out.t == psi.t and np.array_equal(bits(out.psi), bits(psi.psi))
+        assert seen == []
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_every_below_one_is_refused(self, every):
+        with pytest.raises(ValueError, match="^every must be"):
+            evolve(self.packet(), HamiltonianSpec(), TimeScaling.zero(), self.DT, 10,
+                   every=every)
+
+    def test_evolve_calls_the_module_step_once_per_step(self, monkeypatch):
+        # a tracer times the Crank-Nicolson steps by wrapping this module
+        # attribute, so evolve must go through it on every step
+        step, substeps = quantum.schrodinger_step, []
+
+        def counting(*args, **kwargs):
+            substeps.append(kwargs["_cn"])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "schrodinger_step", counting)
+        evolve(self.packet(), HamiltonianSpec("spectral"), SCALINGS["constant"], self.DT, 37,
+               observer=lambda *a: None, every=5)
+        assert len(substeps) == 37
+        assert all(isinstance(cn, _CrankNicolson) for cn in substeps)
 
 class TestPositionExpectation:
     def test_flat_field_symmetric_packet(self):

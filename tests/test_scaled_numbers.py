@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from valuefield.errors import MixedScales, NotInBaseSet
 from valuefield.scaled_numbers import (
     NaturalStructure,
+    _check_scale,
+    _ratio,
     ScaledNumber,
     ScaledVector,
     commutation_table,
@@ -269,6 +272,35 @@ def test_connection_ratio_identity(s, t, a):
     # single transport multiplies the value by exactly t/s
     out = connect_value(s, t, ScaledNumber(a, t))
     assert out.value == (t / s) * a
+
+
+exact_numbers = st.one_of(st.integers(-10 ** 6, 10 ** 6), any_fractions, st.booleans())
+
+
+class TestExactRatio:
+    @given(exact_numbers, exact_numbers)
+    def test_int_fraction_and_bool_ends_divide_exactly(self, a, b):
+        if b == 0:
+            with pytest.raises(ZeroDivisionError):
+                _ratio(a, b)
+            return
+        out = _ratio(a, b)
+        assert type(out) is F and out == F(a) / F(b)
+
+    @pytest.mark.parametrize("a, b", [(1.5, 2), (3, 0.5), (F(1, 3), 0.25), (0.5, F(2, 7))])
+    def test_a_float_end_gives_a_float(self, a, b):
+        out = _ratio(a, b)
+        assert type(out) is float and out == a / b
+
+    @pytest.mark.parametrize("s", [0, F(0), F(-1, 3), -2, False, float("nan"), float("-inf")])
+    def test_non_positive_scales_are_refused(self, s):
+        message = re.escape(f"scale factor must be positive, got {s!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _check_scale(s)
+
+    @pytest.mark.parametrize("s", [1, F(1, 10 ** 9), True, 1e-300])
+    def test_positive_scales_pass(self, s):
+        _check_scale(s)
 
 
 def test_scale_must_be_positive():
