@@ -42,8 +42,6 @@ def _as_point(p) -> np.ndarray:
     return p
 
 
-_VECTOR = np.dtype((float, 4))  # one gradient row, as np.fromiter builds it
-
 # the 16 corners of a 4-D cell: corner c has bit k of c on axis k
 _CORNERS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 
@@ -51,20 +49,20 @@ _CORNERS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 class AlphaField:
     """Base class: a real scalar field over spacetime with gradient access.
 
-    ``alpha(p)`` and ``gradient(p)`` take one point, a length-4 array, and
-    return a float and a 4-vector, or take an ``(N, 4)`` array of points and
-    return ``(N,)`` and ``(N, 4)`` arrays; row i of a batch equals the call on
-    point i, bit for bit. Subclasses implement ``_alpha_rows(rows)`` and, where
-    they have an analytic gradient, ``_gradient_rows(rows)`` on an ``(N, 4)``
-    array whose rows are finite and inside the domain.
+    ``alpha(p)`` takes one point, a length-4 array, and returns a float, or
+    takes an ``(N, 4)`` array of points and returns an ``(N,)`` array whose
+    row i equals the call on point i, bit for bit. ``gradient(p)`` takes one
+    point and returns a 4-vector. Subclasses implement ``_alpha_rows(rows)``
+    on an ``(N, 4)`` array whose rows are finite and inside the domain.
 
     A single point is checked on Python floats and handed to the one-point
     hooks ``_point_alpha(p, x)`` and ``_point_gradient(p, x)``, where ``p`` is
     the point as a float array of shape (4,) and ``x`` the same point as a list
-    of 4 floats. They return a float and a new float array of shape (4,) equal
-    to row 0 of ``_alpha_rows`` / ``_gradient_rows`` on ``p[None]``, which is
-    what the defaults here compute; subclasses override them only to skip the
-    batch machinery.
+    of 4 floats. They return a float equal to row 0 of ``_alpha_rows`` on
+    ``p[None]`` and a new float array of shape (4,); the defaults here compute
+    that row and the finite-difference :meth:`_stencil_gradient`. A subclass
+    overrides ``_point_alpha`` only to skip the batch machinery, and
+    ``_point_gradient`` where it has its own gradient.
 
     ``domain`` is an optional axis-aligned box (lo, hi), each a 4-vector;
     None means unbounded.
@@ -80,17 +78,17 @@ class AlphaField:
         return self._alpha_rows(self._require_inside(p))
 
     def gradient(self, p) -> np.ndarray:
-        """(d alpha/dt [1/s], d alpha/dx, d alpha/dy, d alpha/dz [1/m]) per point."""
+        """(d alpha/dt [1/s], d alpha/dx, d alpha/dy, d alpha/dz [1/m]) at one point."""
         p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return self._point_gradient(p, self._point(p))
-        return self._gradient_rows(self._require_inside(p))
+        if p.ndim != 1:
+            raise ValueError(f"gradient takes one spacetime point of shape (4,), got {p.shape}")
+        return self._point_gradient(p, self._point(p))
 
     def _point_alpha(self, p: np.ndarray, x: list) -> float:
         return float(self._alpha_rows(p[None])[0])
 
     def _point_gradient(self, p: np.ndarray, x: list) -> np.ndarray:
-        return self._gradient_rows(p[None])[0]
+        return self._stencil_gradient(p)
 
     def _alpha_rows(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -134,32 +132,30 @@ class AlphaField:
             steps[..., bounded] = self.fd_scale * np.maximum(extent[bounded], 1.0)
         return steps
 
-    def _gradient_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Finite differences from one ``_alpha_rows`` call over every stencil
-        point: central, second-order one-sided at a wall, and a clamped
-        two-point difference on an axis thinner than 2h."""
-        n = len(rows)
-        h = self._fd_steps(rows)  # (N, 4), or (4,) for every row
+    def _stencil_gradient(self, p: np.ndarray) -> np.ndarray:
+        """Finite differences at the point ``p`` from one ``_alpha_rows`` call
+        over its 9 stencil points (per axis the two coordinates a, b, then p):
+        central, second-order one-sided at a wall, and a clamped two-point
+        difference on an axis thinner than 2h."""
+        h = self._fd_steps(p)
         lo, hi = self.domain if self.domain is not None else (-np.inf, np.inf)
-        up, down = rows + h, rows - h
+        up, down = p + h, p - h
         central = (down >= lo) & (up <= hi)
-        forward = ~central & (rows + 2 * h <= hi)
-        backward = ~central & ~forward & (rows - 2 * h >= lo)
+        forward = ~central & (p + 2 * h <= hi)
+        backward = ~central & ~forward & (p - 2 * h >= lo)
         clamped = ~(central | forward | backward)
-        # per (row, axis) two stencil coordinates a, b; one-sided formulas also use the row
+        # per axis two stencil coordinates a, b; the one-sided formulas also use p
         a = np.where(backward, down, np.minimum(up, hi))
-        b = np.where(forward, rows + 2 * h,
-                     np.where(backward, rows - 2 * h, np.maximum(down, lo)))
+        b = np.where(forward, p + 2 * h, np.where(backward, p - 2 * h, np.maximum(down, lo)))
         if (clamped & (a <= b)).any():
             raise OutOfDomain("domain is a single point along axis "
-                              f"{np.flatnonzero((clamped & (a <= b)).any(axis=0))[0]}")
+                              f"{np.flatnonzero(clamped & (a <= b))[0]}")
         axes = np.arange(4)
-        stencil = np.broadcast_to(rows[:, None, None, :], (n, 4, 2, 4)).copy()
-        stencil[:, axes, 0, axes] = a
-        stencil[:, axes, 1, axes] = b
-        values = self._alpha_rows(np.concatenate([stencil.reshape(-1, 4), rows]))
-        fa, fb = values[:8 * n].reshape(n, 4, 2).transpose(2, 0, 1)
-        fc = values[8 * n:, None]
+        stencil = np.tile(p, (9, 1))
+        stencil[2 * axes, axes] = a
+        stencil[2 * axes + 1, axes] = b
+        values = self._alpha_rows(stencil)
+        fa, fb, fc = values[0:8:2], values[1:8:2], values[8]
         return np.where(forward, (-3 * fc + 4 * fa - fb) / (2 * h),
                         np.where(backward, (3 * fc - 4 * fa + fb) / (2 * h),
                                  (fa - fb) / np.where(central, 2 * h, a - b)))
@@ -180,11 +176,6 @@ class AnalyticField(AlphaField):
     def _alpha_rows(self, rows):
         return np.fromiter(map(self._alpha_fn, rows), float, len(rows))
 
-    def _gradient_rows(self, rows):
-        if self._grad_fn is None:
-            return super()._gradient_rows(rows)
-        return np.fromiter(map(self._grad_fn, rows), _VECTOR, len(rows))
-
     def _point_alpha(self, p, x):
         a = self._alpha_fn(p)
         # what is not a float is converted by np.fromiter, as in a batch, for
@@ -193,11 +184,11 @@ class AnalyticField(AlphaField):
 
     def _point_gradient(self, p, x):
         if self._grad_fn is None:
-            return super()._point_gradient(p, x)
-        g = self._grad_fn(p)
-        out = np.array(g, dtype=float)
-        # likewise what is not 4 numbers
-        return out if out.shape == (4,) else np.fromiter((g,), _VECTOR, 1)[0]
+            return self._stencil_gradient(p)
+        g = np.array(self._grad_fn(p), dtype=float)
+        if g.shape != (4,):
+            raise ValueError(f"gradient callable must return 4 numbers, got shape {g.shape}")
+        return g
 
 
 class ConstantField(AlphaField):
@@ -208,9 +199,6 @@ class ConstantField(AlphaField):
 
     def _alpha_rows(self, rows):
         return np.full(len(rows), float(self.value))
-
-    def _gradient_rows(self, rows):
-        return np.zeros((len(rows), 4))
 
     def _point_alpha(self, p, x):
         return float(self.value)
@@ -259,63 +247,28 @@ class GridField(AlphaField):
     spacing = property(lambda self: self._spacing, doc="The node spacing per axis (read-only).")
     domain = property(lambda self: self._domain, doc="The box (origin, top node) (read-only).")
 
-    def _cell(self, rows, first_cell, last_cell):
-        """The flat sample index and the multilinear weight of each of the 16
-        corners of each row's cell, whose lowest node is clamped to
-        [first_cell, last_cell] per axis."""
+    def _alpha_rows(self, rows):
+        # each row's cell, its lowest node clamped to [0, n-2] per axis so the
+        # top edge stays in the last cell, and the weights of its 16 corners
         frac = (rows - self._origin) / self._spacing
-        i0 = np.maximum(np.minimum(frac.astype(int), last_cell), first_cell)
+        i0 = np.maximum(np.minimum(frac.astype(int), self._last_cell), 0)
         w = (frac - i0)[:, None, :]
         weights = np.where(_CORNERS, w, 1.0 - w).prod(axis=2)
-        return (i0 @ self._strides)[:, None] + self._corner_offsets, weights
-
-    def _alpha_rows(self, rows):
-        # the top edge stays in the last cell
-        corners, weights = self._cell(rows, 0, self._last_cell)
+        corners = (i0 @ self._strides)[:, None] + self._corner_offsets
         # summed corner by corner in a fixed order, so a row does not depend on its batch
         return np.add.accumulate(weights * self._samples.take(corners), axis=1)[:, -1]
 
-    def _gradient_rows(self, rows):
-        """The central difference (f(x + h_k) - f(x - h_k)) / 2h_k one spacing
-        wide. On the multilinear interpolant, x +- h_k e_k sits at x's
-        fractional position in the next cell, so where the stencil is inside
-        the box the difference is the interpolant, over x's cell, of the nodal
-        differences (s[i+1] - s[i-1]) / 2h_k: one gather of both neighbours of
-        the 16 corners along every axis. Other rows (walls, top edges, axes of
-        fewer than 4 samples) take the stencil formula of the base class."""
-        lo, hi = self._domain
-        h = self._spacing
-        inside = (rows - h >= lo) & (rows + h <= hi) & (self._last_cell >= 2)
-        if inside.all():
-            return self._corner_differences(rows)
-        inner = inside.all(axis=1)
-        if not inner.any():
-            return super()._gradient_rows(rows)
-        out = np.empty_like(rows)
-        out[inner] = self._corner_differences(rows[inner])
-        out[~inner] = super()._gradient_rows(rows[~inner])
-        return out
-
-    def _corner_differences(self, rows):
-        # a stencil inside the box puts each row's fractional index in [1, n-2];
-        # clamping the cell to [1, n-3] keeps every neighbour in [0, n-1]
-        corners, weights = self._cell(rows, 1, self._last_cell - 1)
-        strides = self._strides
-        pairs = self._samples.take(corners[:, :, None] + np.concatenate((strides, -strides)))
-        terms = weights[:, :, None] * (pairs[:, :, :4] - pairs[:, :, 4:])
-        return np.add.accumulate(terms, axis=1)[:, -1] / (2 * self._spacing)
-
     def _point_cell(self, x, margin):
-        """:meth:`_cell` on the floats ``x`` of one point, its cell clamped to
-        [margin, n - 2 - margin] per axis: the flat index of the cell's lowest
-        node and the 16 corner weights, each ((v0*v1)*v2)*v3 as ``prod`` forms
-        it, corner 0 first."""
+        """The cell of :meth:`_alpha_rows` on the floats ``x`` of one point,
+        clamped to [margin, n - 2 - margin] per axis: the flat index of the
+        cell's lowest node and the 16 corner weights, each ((v0*v1)*v2)*v3 as
+        ``prod`` forms it, corner 0 first."""
         base, v = 0, []
         for xk, o, s, stride, top in zip(x, self._origin.tolist(), self._spacing.tolist(),
                                          self._strides.tolist(), self._last_cell.tolist()):
             f = (xk - o) / s
             i = int(f)
-            i = top - margin if i > top - margin else i  # np.minimum, then np.maximum, as in _cell
+            i = top - margin if i > top - margin else i  # np.minimum, then np.maximum, as in a batch
             i = margin if i < margin else i
             base += i * stride
             w = f - i
@@ -333,11 +286,20 @@ class GridField(AlphaField):
         return functools.reduce(operator.add, map(operator.mul, weights, values))
 
     def _point_gradient(self, p, x):
+        """The central difference (f(x + h_k) - f(x - h_k)) / 2h_k one spacing
+        wide. On the multilinear interpolant, x +- h_k e_k sits at x's
+        fractional position in the next cell, so where the stencil is inside
+        the box the difference is the interpolant, over x's cell, of the nodal
+        differences (s[i+1] - s[i-1]) / 2h_k: one gather of both neighbours of
+        the 16 corners along every axis. Other points (walls, top edges, axes
+        of fewer than 4 samples) take :meth:`_stencil_gradient`."""
         lo, hi = self._domain
         if self._neighbour_offsets is None or not all(
                 xk - s >= a and xk + s <= b
                 for xk, s, a, b in zip(x, self._spacing.tolist(), lo.tolist(), hi.tolist())):
-            return super()._gradient_rows(p[None])[0]  # the stencil, as for a batch row
+            return self._stencil_gradient(p)
+        # the stencil inside the box puts each fractional index in [1, n-2];
+        # clamping the cell to [1, n-3] keeps every neighbour in [0, n-1]
         base, weights = self._point_cell(x, 1)
         up, down = self._samples.take(self._neighbour_offsets + base)
         terms = (up - down) * np.array(weights)  # (axis, corner)
@@ -427,8 +389,12 @@ def _quad_nodes(lo: float, hi: float, n: int, method: str):
 def _tensor_quadrature(f, field: AlphaField, x_ref, axes, lo, hi, n, method) -> float:
     """e^{-alpha(x_ref)} * sum of w e^{alpha} f over the tensor product of the 1-D
     rules on ``axes`` through x_ref, with one field call for x_ref and every node."""
+    try:
+        n = operator.index(n)  # a Python or NumPy int, not a float
+    except TypeError:
+        raise ValueError(f"number of panels must be an integer, got {n!r}") from None
     x_ref = _as_point(x_ref)
-    rules = [_quad_nodes(float(a), float(b), int(n), method) for a, b in zip(lo, hi)]
+    rules = [_quad_nodes(float(a), float(b), n, method) for a, b in zip(lo, hi)]
     coords = np.stack(np.meshgrid(*(ys for ys, _ in rules), indexing="ij"),
                       axis=-1).reshape(-1, len(axes))
     weights = functools.reduce(np.multiply.outer, (w for _, w in rules)).ravel()

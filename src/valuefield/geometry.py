@@ -275,13 +275,6 @@ class CoordinateTrajectory:
     def energy(self, particle: ParticleSpec) -> np.ndarray:
         return self.gamma * particle.rest_energy
 
-    def to_csv(self, path, particle: ParticleSpec) -> None:
-        table = np.column_stack([self.s, self.p, self.gamma * particle.c,
-                                 self.gamma[:, None] * self.v, self.gamma,
-                                 self.energy(particle)])
-        write_csv(path, ["s", "t", "x", "y", "z", "u0", "u1", "u2", "u3", "gamma", "E"],
-                  table)
-
 
 def integrate_coordinate(field: AlphaField, p0, v0, particle: ParticleSpec,
                          cfg: IntegratorConfig) -> CoordinateTrajectory:

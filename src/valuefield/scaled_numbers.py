@@ -22,7 +22,7 @@ from .errors import MixedScales, NotInBaseSet
 
 
 def _check_scale(s) -> None:
-    if not (s.numerator > 0 if type(s) is Fraction else s > 0):
+    if not (s.numerator > 0 if type(s) is Fraction else 0 < s < math.inf):
         raise ValueError(f"scale factor must be positive, got {s!r}")
 
 

@@ -189,18 +189,22 @@ def test_batch_rows_equal_single_point_calls(fld):
                        np.where(np.arange(4) == 2, hi, lo + 0.3 * (hi - lo))])  # top edge
     knife = _knife_edge_points(fld, inner[:3])
     for pts in (inner, edges, np.vstack([edges[:20], inner, edges[20:]]), knife):
-        alphas, grads = fld.alpha(pts), fld.gradient(pts)
-        assert alphas.shape == (len(pts),) and grads.shape == (len(pts), 4)
-        for p, a, g in zip(pts, alphas, grads):
-            alpha, grad = fld.alpha(p), fld.gradient(p)
+        alphas = fld.alpha(pts)
+        assert alphas.shape == (len(pts),)
+        for p, a in zip(pts, alphas):
+            alpha = fld.alpha(p)
             assert type(alpha) is float and np.float64(alpha).tobytes() == a.tobytes()
-            assert grad.dtype == np.float64 and grad.tobytes() == g.tobytes()
 
 
 def _raised(call, p):
     with pytest.raises(Exception) as info:
         call(p)
     return type(info.value), str(info.value)
+
+
+def _assert_one_line_value_error(call, p):
+    kind, message = _raised(call, p)
+    assert kind is ValueError and message and "\n" not in message
 
 
 @pytest.mark.parametrize("fld", FIELDS.values(), ids=FIELDS.keys())
@@ -214,10 +218,10 @@ def test_bad_single_point_raises_as_its_batch_row(fld):
                 if np.isfinite(wall[k]):
                     bad.append(np.where(np.arange(4) == k, np.nextafter(wall[k], away), mid))
     for p in bad:
-        for call in (fld.alpha, fld.gradient):
-            kind, message = _raised(call, p)
-            assert (kind, message) == _raised(call, p[None, :])
-            assert issubclass(kind, OutOfDomain if np.isfinite(p).all() else ValueError)
+        kind, message = _raised(fld.alpha, p)
+        assert (kind, message) == _raised(fld.alpha, p[None, :])
+        assert issubclass(kind, OutOfDomain if np.isfinite(p).all() else ValueError)
+        assert _raised(fld.gradient, p) == (kind, message)
     for n in (3, 5):
         for call in (fld.alpha, fld.gradient):
             with pytest.raises(ValueError, match=rf"must have shape \(4,\) or \(N, 4\), got \({n},\)"):
@@ -233,9 +237,9 @@ def test_one_sample_axis_single_points_equal_batch_rows():
     pts = np.vstack([lo + (hi - lo) * rng.random((30, 4)), lo, hi])
     for p, a in zip(pts, fld.alpha(pts)):
         assert np.float64(fld.alpha(p)).tobytes() == a.tobytes()
-    for p in (pts[0], pts[:1]):
-        with pytest.raises(OutOfDomain, match="single point along axis 0"):
-            fld.gradient(p)
+    with pytest.raises(OutOfDomain, match="single point along axis 0"):
+        fld.gradient(pts[0])
+    _assert_one_line_value_error(fld.gradient, pts[:1])
 
 
 @pytest.mark.parametrize("value", [3, True, np.float32(0.1), np.float64(-0.0), np.array(0.5), None],
@@ -256,14 +260,38 @@ def test_alpha_callable_returning_a_sequence_is_refused_on_both_paths():
 def test_gradient_callable_of_three_values_is_refused_on_both_paths():
     fld = AnalyticField(lambda p: 0.0, lambda p: (1.0, 2.0, 3.0))
     p = spacetime_point(0.1, 0.2, 0.3, 0.4)
-    kind, message = _raised(fld.gradient, p)
-    assert kind is ValueError and (kind, message) == _raised(fld.gradient, p[None, :])
+    for q in (p, p[None, :]):
+        _assert_one_line_value_error(fld.gradient, q)
+
+
+def _check_against_the_stencil_formula(fld, pts, monkeypatch):
+    """The gradient at each of ``pts`` agrees with the stencil formula of the
+    base class to 1e-13 of the largest sample, and is that formula, bit for
+    bit, exactly where the central stencil leaves the box or an axis has
+    fewer than 4 samples. Returns where the central stencil leaves the box."""
+    lo, hi = fld.domain
+    stencil = ((pts - fld.spacing < lo) | (pts + fld.spacing > hi)).any(axis=1)
+    want = np.array([AlphaField._stencil_gradient(fld, p) for p in pts])
+    took = []
+    monkeypatch.setattr(fld, "_stencil_gradient",
+                        lambda p: took.append(True) or AlphaField._stencil_gradient(fld, p))
+    got, used = [], []
+    for p in pts:
+        took.clear()
+        got.append(fld.gradient(p))
+        used.append(bool(took))
+    got = np.array(got)
+    assert used == (stencil | (np.array(fld.samples.shape) < 4).any()).tolist()
+    bound = 1e-13 * np.max(np.abs(fld.samples)) / fld.spacing
+    assert (np.abs(got - want) <= bound).all()
+    assert np.array_equal(got[used], want[used])
+    return stencil
 
 
 @pytest.mark.parametrize("shape", [(5, 6, 7, 8), (4, 4, 4, 4), (3, 6, 5, 4)])
-def test_grid_gradient_matches_the_stencil_formula(shape):
-    # interior rows take the corner gather, the rest the stencil formula of the
-    # base class; a 3-sample axis sends every row to the stencil
+def test_grid_gradient_matches_the_stencil_formula(shape, monkeypatch):
+    # interior points take the corner gather, the rest the stencil formula of
+    # the base class; a 3-sample axis sends every point to the stencil
     rng = np.random.default_rng(17)
     spacing = np.array([0.25, 0.1, 0.3, 0.2])
     fld = GridField(rng.normal(size=shape), (0.5, -1.0, 0.0, 2.0), spacing)
@@ -274,13 +302,16 @@ def test_grid_gradient_matches_the_stencil_formula(shape):
     pick = rng.integers(0, 16, size=pts.shape)
     for k, plane in enumerate((lo, hi, lo + spacing, hi - spacing)):
         pts = np.where(pick == k, plane, pts)
-    got = fld.gradient(pts)
-    want = AlphaField._gradient_rows(fld, pts)
-    bound = 1e-13 * np.max(np.abs(fld.samples)) / spacing
-    assert (np.abs(got - want) <= bound).all()
-    # the walls and top edges give the stencil formula's own bits
-    stencil = ((pts - spacing < lo) | (pts + spacing > hi)).any(axis=1)
-    assert stencil.any() and np.array_equal(got[stencil], want[stencil])
+    # and on, or one ulp either side of, each plane where the central stencil starts to fit
+    pts = np.vstack([pts, _knife_edge_points(fld, pts[:3])])
+    # some of them on a wall or a top edge
+    assert _check_against_the_stencil_formula(fld, pts, monkeypatch).any()
+    # the same planes on the grids of FIELDS, whose inexact spacings put some
+    # of them where x - h >= lo and x >= lo + h disagree
+    inner = BOX[0] + np.outer([0.35, 0.5, 0.65], BOX[1] - BOX[0])
+    for name in ("grid", "grid-thick", "grid-inexact", "grid-signed-zero"):
+        knife = _knife_edge_points(FIELDS[name], inner)
+        _check_against_the_stencil_formula(FIELDS[name], knife, monkeypatch)
 
 
 def test_grid_alpha_matches_corner_loop_reference():
@@ -307,8 +338,7 @@ def test_batch_with_one_point_outside_raises():
     pts = np.vstack([lo, hi, hi + [0.0, 0.0, 0.0, 1e-9]])
     with pytest.raises(OutOfDomain):
         fld.alpha(pts)
-    with pytest.raises(OutOfDomain):
-        fld.gradient(pts)
+    _assert_one_line_value_error(fld.gradient, pts)
 
 
 @pytest.mark.parametrize("origin, spacing", [
@@ -427,6 +457,19 @@ class TestScaledIntegral:
         with pytest.raises(ValueError):
             scaled_integral(lambda y: 1.0, ConstantField(0.0), spacetime_point(),
                             0.0, 1.0, n=5)
+
+    @pytest.mark.parametrize("n", [16.5, 3.9, 16.0, np.float64(16.0), "16", None],
+                             ids=["16.5", "3.9", "16.0", "float64", "str", "None"])
+    def test_non_integral_panel_counts_are_refused(self, n):
+        for integral in (scaled_integral, scaled_integral_3d):
+            lo, hi = (0.0, 1.0) if integral is scaled_integral else ((0, 0, 0), (1, 1, 1))
+            with pytest.raises(ValueError, match="^number of panels must be an integer, got"):
+                integral(lambda y: 1.0, ConstantField(0.0), spacetime_point(), lo, hi, n=n)
+
+    @pytest.mark.parametrize("n", [np.int64(16), np.int32(16)], ids=["int64", "int32"])
+    def test_numpy_int_panel_counts_are_accepted(self, n):
+        out = scaled_integral(lambda y: 1.0, ConstantField(0.0), spacetime_point(), 0.0, 1.0, n=n)
+        assert out == pytest.approx(1.0, rel=1e-14)
 
     def test_3d_box_flat_volume(self):
         out = scaled_integral_3d(lambda r: 1.0, ConstantField(0.0), spacetime_point(),

@@ -292,7 +292,8 @@ class TestExactRatio:
         out = _ratio(a, b)
         assert type(out) is float and out == a / b
 
-    @pytest.mark.parametrize("s", [0, F(0), F(-1, 3), -2, False, float("nan"), float("-inf")])
+    @pytest.mark.parametrize("s", [0, F(0), F(-1, 3), -2, False, float("nan"), float("-inf"),
+                                   float("inf")])
     def test_non_positive_scales_are_refused(self, s):
         message = re.escape(f"scale factor must be positive, got {s!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
