@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import write_csv
 from .constants import C_M_PER_S, G_M3_KG_S2, MPC_KM, YEAR_S
 from .errors import InvalidBoundaries, OutOfDomain, OutOfRange, require_finite_positive
 from .field import _CORNERS, AlphaField, TimeOnlyField
@@ -190,17 +189,6 @@ class AlphaProfile:
             t_domain=(self.segments[0].s_lo, self.t_now),
         )
 
-    def csv_start(self) -> float:
-        """First time of the :meth:`to_csv` grid: t_now * 1e-8, kept above s_lo."""
-        return max(self.segments[0].s_lo * (1 + 1e-9), self.t_now * 1e-8)
-
-    def to_csv(self, path, params: "CosmologyParams", n: int = 512) -> None:
-        """Export s, alpha, a, H, rho rows on a log-spaced grid, csv_start() to t_now."""
-        ss = np.geomspace(self.csv_start(), self.t_now, n).tolist()
-        write_csv(path, ["s", "alpha", "a", "H", "rho"], (
-            (s, self.alpha(s), scale_factor(self, s), hubble(self, s),
-             density(self, s, params)) for s in ss))
-
 
 def scale_factor(profile: AlphaProfile, s: float) -> float:
     """a(s) = e^{-alpha(s)}, normalized to 1 at t_now."""
@@ -218,8 +206,7 @@ def wavelength_at_reception(lam_emit: float, profile: AlphaProfile,
     """Wavelength after transport from emission to reception:
     lam' = e^{-alpha(s_recv)+alpha(s_emit)} * lam. Red shift iff
     alpha(s_emit) > alpha(s_recv)."""
-    if lam_emit <= 0:
-        raise ValueError("wavelength must be positive")
+    require_finite_positive("wavelength", lam_emit)
     if not s_emit <= s_recv:
         raise OutOfRange("emission must precede reception")
     return lam_emit * math.exp(profile.alpha_diff(s_emit, s_recv))
@@ -327,8 +314,7 @@ def local_bound_check(obj, region, x_ref=None, eps: float = 1e-10,
     axis-aligned lines through x_ref plus all box corners, with
     ``samples_per_axis`` points per line.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_finite_positive("eps", eps)
     if isinstance(obj, AlphaProfile):
         s_lo, s_hi = float(region[0]), float(region[1])
         ref = s_hi if x_ref is None else float(x_ref)
@@ -350,12 +336,3 @@ def local_bound_check(obj, region, x_ref=None, eps: float = 1e-10,
     # np.max propagates NaN, so a NaN deviation fails the check
     dev = float(np.max(np.abs(alpha[1:] - alpha[0])))
     return dev, dev < eps
-
-
-def redshift_table_to_csv(profile: AlphaProfile, params: CosmologyParams,
-                          s_emits, path) -> None:
-    """Export s_emit, z_exact, z_linear rows (reception at t_now)."""
-    h0 = params.h0_per_s
-    write_csv(path, ["s_emit", "z_exact", "z_linear"], (
-        (s, redshift(profile, s, profile.t_now), h0 * (profile.t_now - s))
-        for s in map(float, s_emits)))

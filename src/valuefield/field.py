@@ -98,7 +98,8 @@ class AlphaField:
     def _point(self, p: np.ndarray) -> list:
         """The 1-D float array ``p`` as a list of floats, after the checks of
         :meth:`_require_inside` made on floats; a point that fails them gets
-        that method's own error."""
+        :func:`_as_point`'s shape or finiteness error, or the domain error of
+        :meth:`_require_inside`."""
         x = p.tolist()
         if len(x) == 4 and all(map(math.isfinite, x)):
             if self.domain is None:
@@ -106,7 +107,7 @@ class AlphaField:
             lo, hi = self.domain
             if all(map(operator.le, lo.tolist(), x)) and all(map(operator.le, x, hi.tolist())):
                 return x
-        self._require_inside(p)
+        self._require_inside(_as_point(p))
         return x
 
     def _require_inside(self, p: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import write_csv
 from .errors import (InvalidEnergy, LeftDomain, OutOfDomain, StepUnstable,
                      require_finite_positive)
 from .field import AlphaField, _as_point, transport_factor
@@ -133,15 +132,6 @@ class Trajectory:
     u: np.ndarray
     norm_drift: float = 0.0
 
-    def gamma(self, c: float) -> np.ndarray:
-        return self.u[:, 0] / c
-
-    def to_csv(self, path, particle: ParticleSpec) -> None:
-        gam = self.gamma(particle.c)
-        table = np.column_stack([self.tau, self.p, self.u, gam, gam * particle.rest_energy])
-        write_csv(path, ["tau", "t", "x", "y", "z", "u0", "u1", "u2", "u3", "gamma", "E"],
-                  table)
-
 
 def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
     """Fixed-step RK4 states y[0..n] over cfg.span and the largest accepted
@@ -228,9 +218,9 @@ def _coordinate_dw(field: AlphaField, p, dpds: list, gamma: float,
                    particle: ParticleSpec) -> list:
     """The coordinate-time equation on floats: four d(gamma dp/ds)/ds from the
     four floats dpds."""
-    if gamma < 1.0:
-        raise InvalidEnergy(f"gamma = {gamma!r} < 1 at coordinate time t = {p[0]!r}: "
-                            "the particle cannot climb the field")
+    if not gamma >= 1.0:  # NaN fails too
+        raise InvalidEnergy(f"gamma = {gamma!r} is not at least 1 at coordinate time "
+                            f"t = {p[0]!r}: the particle cannot climb the field")
     c = particle.c
     g0, a1, a2, a3 = field.gradient(p).tolist()
     a0 = g0 / c  # the per-meter temporal component, as in a_per_meter
@@ -257,8 +247,8 @@ def gamma_rate(field: AlphaField, p, dpds, gamma: float, c: float) -> float:
 def energy_rate(field: AlphaField, p, dpds, energy: float, particle: ParticleSpec) -> float:
     """dE/ds for a free particle of total energy E = gamma m c^2."""
     rest = particle.rest_energy
-    if energy < rest:
-        raise InvalidEnergy(f"E = {energy} below rest energy {rest}")
+    if not rest <= energy < math.inf:  # NaN fails too
+        raise InvalidEnergy(f"E = {energy} must be finite and at least the rest energy {rest}")
     gamma = energy / rest
     return rest * gamma_rate(field, p, dpds, gamma, particle.c)
 

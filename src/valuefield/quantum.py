@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._csv import write_csv
 from .errors import NotNormalized, StepUnstable, require_finite_positive
 from .field import AlphaField
 
@@ -270,15 +269,3 @@ def position_expectation(psi: WaveFunction1D, field: AlphaField, x_ref) -> float
 def free_particle_effective_energy(energy: float, rate_t: float, hbar: float) -> complex:
     """Plane-wave energy seen by the covariant time derivative: E + i hbar A(t)."""
     return complex(energy, hbar * rate_t)
-
-
-def snapshot_to_csv(psi: WaveFunction1D, path) -> None:
-    table = np.column_stack([np.full(psi.y.size, float(psi.t)), psi.y, psi.psi.real,
-                             psi.psi.imag, psi.probability_density()])
-    write_csv(path, ["t", "y", "re_psi", "im_psi", "prob_density"], table)
-
-
-def summary_to_csv(rows, path) -> None:
-    """rows: iterable of (t, norm_sq, position_expectation)."""
-    write_csv(path, ["t", "norm_sq", "position_expectation"],
-              ((float(t), float(n2), float(pos)) for t, n2, pos in rows))

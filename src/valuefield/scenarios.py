@@ -290,8 +290,11 @@ def scenario_geodesic(p: dict, out_dir: Path) -> RunReport:
     report.add_bound("straight_line_rel_dev", dev / abs(init.u[1] * span), 1e-9)
 
     particle = geo.ParticleSpec(p["mass"], c)
-    art = _artifact(report, out_dir, "geodesic_trajectory.csv")
-    traj.to_csv(art, particle)
+    gam = traj.u[:, 0] / particle.c
+    write_csv(_artifact(report, out_dir, "geodesic_trajectory.csv"),
+              ["tau", "t", "x", "y", "z", "u0", "u1", "u2", "u3", "gamma", "E"],
+              np.column_stack([traj.tau, traj.p, traj.u, gam,
+                               gam * particle.rest_energy]))
 
     k = 1e-12
     f1 = vfield.AnalyticField(lambda p: k * p[1],
@@ -347,10 +350,12 @@ def scenario_schrodinger(p: dict, out_dir: Path) -> RunReport:
     conserved = psi.norm_sq() * math.exp(2 * a0 * psi.t)
     report.add_bound("damping_law_drift", abs(conserved - 1.0), 1e-8)
 
-    snap = _artifact(report, out_dir, "schrodinger_snapshot.csv")
-    qm.snapshot_to_csv(psi, snap)
-    summ = _artifact(report, out_dir, "schrodinger_summary.csv")
-    qm.summary_to_csv(rows, summ)
+    write_csv(_artifact(report, out_dir, "schrodinger_snapshot.csv"),
+              ["t", "y", "re_psi", "im_psi", "prob_density"],
+              np.column_stack([np.full(psi.y.size, psi.t), psi.y, psi.psi.real,
+                               psi.psi.imag, psi.probability_density()]))
+    write_csv(_artifact(report, out_dir, "schrodinger_summary.csv"),
+              ["t", "norm_sq", "position_expectation"], rows)
     return report
 
 
@@ -375,6 +380,11 @@ def _cosmology_model(p: dict) -> tuple[cos.CosmologyParams, cos.AlphaProfile]:
     return params, cos.build_alpha_profile(params, s_rm, s_de)
 
 
+def _profile_csv_start(profile: cos.AlphaProfile) -> float:
+    """First time of alpha_profile.csv: t_now * 1e-8, kept above the profile's start."""
+    return max(profile.segments[0].s_lo * (1 + 1e-9), profile.t_now * 1e-8)
+
+
 def _cosmology_consistency(p: dict) -> list[str]:
     """Flatness, era ordering and finite densities in alpha_profile.csv, whose
     first row has the largest e^{4 (alpha(s) - alpha(t_now))} in density()."""
@@ -392,7 +402,7 @@ def _cosmology_consistency(p: dict) -> list[str]:
     exponent, top = math.inf, math.log(sys.float_info.max)
     if p["t_now_gyr"] * 1e9 * YEAR_S < math.inf:  # CosmologyParams.t_now_s
         _, profile = _cosmology_model(p)
-        exponent = 4.0 * profile.alpha_diff(profile.csv_start(), profile.t_now)
+        exponent = 4.0 * profile.alpha_diff(_profile_csv_start(profile), profile.t_now)
     if not exponent <= top:  # NaN fails too
         diags.append(f"cosmology.t_now_gyr: alpha_profile.csv densities overflow; "
                      f"needs 4*(alpha(first row) - alpha(t_now)) <= {top:.6g}, "
@@ -456,11 +466,14 @@ def scenario_cosmology(p: dict, out_dir: Path) -> RunReport:
     left, right = profile.slope_sides(p["s_de_gyr"] * GYR_S)
     report.add_bound("onset_slope_steepening", right - left, 0.0)
 
-    art = _artifact(report, out_dir, "alpha_profile.csv")
-    profile.to_csv(art, params)
-    ztab = _artifact(report, out_dir, "redshift_table.csv")
-    emits = np.linspace(t_now - 200e6 * YEAR_S, t_now - 1e6 * YEAR_S, 40)
-    cos.redshift_table_to_csv(lin, params, emits, ztab)
+    ss = np.geomspace(_profile_csv_start(profile), profile.t_now, 512).tolist()
+    write_csv(_artifact(report, out_dir, "alpha_profile.csv"), ["s", "alpha", "a", "H", "rho"], (
+        (s, profile.alpha(s), cos.scale_factor(profile, s), cos.hubble(profile, s),
+         cos.density(profile, s, params)) for s in ss))
+    emits = np.linspace(t_now - 200e6 * YEAR_S, t_now - 1e6 * YEAR_S, 40).tolist()
+    h0 = params.h0_per_s
+    write_csv(_artifact(report, out_dir, "redshift_table.csv"), ["s_emit", "z_exact", "z_linear"],
+              ((s, cos.redshift(lin, s, t_now), h0 * (t_now - s)) for s in emits))
     return report
 
 

@@ -18,13 +18,13 @@ from valuefield.cosmology import (
     linear_hubble_profile,
     local_bound_check,
     redshift,
-    redshift_table_to_csv,
     scale_factor,
     vacuum_rate,
     wavelength_at_reception,
 )
 from valuefield.errors import InvalidBoundaries, OutOfRange
 from valuefield.field import spacetime_point
+from valuefield.scenarios import run_scenario
 
 
 def matter_only_params(h0=70.0):
@@ -188,6 +188,12 @@ class TestRedshift:
         assert prof.alpha_diff(s_emit, t) == pytest.approx(math.log(2), rel=1e-12)
         assert wavelength_at_reception(500e-9, prof, s_emit, t) == pytest.approx(
             1000e-9, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, -1e-7, math.nan, math.inf])
+    def test_wavelength_must_be_finite_and_positive(self, lam):
+        prof = linear_hubble_profile(CosmologyParams())
+        with pytest.raises(ValueError, match="wavelength must be finite and positive"):
+            wavelength_at_reception(lam, prof, 0.5 * prof.t_now, prof.t_now)
 
     def test_duality_with_scale_factors(self):
         params = CosmologyParams()
@@ -426,6 +432,12 @@ class TestProfileAsField:
 
 
 class TestBoundCheck:
+    @pytest.mark.parametrize("eps", [0.0, -1e-10, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        prof = linear_hubble_profile(CosmologyParams())
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            local_bound_check(prof, (prof.t_now - AU_LIGHT_TIME_S, prof.t_now), eps=eps)
+
     def test_constant_profile_region(self):
         params = CosmologyParams()
         prof = linear_hubble_profile(params)
@@ -475,20 +487,13 @@ class TestBoundCheck:
 
 class TestCsvExports:
     def test_profile_export(self, tmp_path):
-        params = CosmologyParams()
-        prof = build_alpha_profile(params, 50e3 * YEAR_S, 10 * GYR_S)
-        path = tmp_path / "profile.csv"
-        prof.to_csv(path, params, n=64)
-        lines = path.read_text().splitlines()
+        run_scenario("cosmology", {}, tmp_path)
+        lines = (tmp_path / "alpha_profile.csv").read_text().splitlines()
         assert lines[0] == "s,alpha,a,H,rho"
-        assert len(lines) == 65
+        assert len(lines) == 1 + 512
 
     def test_redshift_table(self, tmp_path):
-        params = CosmologyParams()
-        prof = linear_hubble_profile(params)
-        path = tmp_path / "z.csv"
-        emits = [prof.t_now - 100e6 * YEAR_S, prof.t_now - 10e6 * YEAR_S]
-        redshift_table_to_csv(prof, params, emits, path)
-        lines = path.read_text().splitlines()
+        run_scenario("cosmology", {}, tmp_path)
+        lines = (tmp_path / "redshift_table.csv").read_text().splitlines()
         assert lines[0] == "s_emit,z_exact,z_linear"
-        assert len(lines) == 3
+        assert len(lines) == 1 + 40

@@ -22,6 +22,7 @@ from valuefield.geometry import (
     integrate_geodesic,
     metric_at,
 )
+from valuefield.scenarios import run_scenario
 
 C_DESK = 2.0  # small c keeps desk-scale numbers readable
 
@@ -292,14 +293,11 @@ class TestIntegrateGeodesic:
             integrate_geodesic(fld, init, IntegratorConfig(step=0.1, span=10.0), C_DESK)
 
     def test_trajectory_csv(self, tmp_path):
-        init = GeodesicState(spacetime_point(), np.array([C_DESK, 0.2, 0, 0]))
-        traj = integrate_geodesic(ConstantField(0.0), init,
-                                  IntegratorConfig(step=0.1, span=1.0), C_DESK)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path, ParticleSpec(1.0, C_DESK))
-        lines = path.read_text().splitlines()
+        steps = 10
+        run_scenario("geodesic", {"steps": str(steps)}, tmp_path)
+        lines = (tmp_path / "geodesic_trajectory.csv").read_text().splitlines()
         assert lines[0] == "tau,t,x,y,z,u0,u1,u2,u3,gamma,E"
-        assert len(lines) == len(traj.tau) + 1
+        assert len(lines) == 1 + steps + 1
 
 
 class TestCoordinateTime:
@@ -351,6 +349,11 @@ class TestCoordinateTime:
         with pytest.raises(InvalidEnergy, match="gamma"):
             integrate_coordinate(fld, spacetime_point(), np.zeros(3), ParticleSpec(1.0, 10.0),
                                  IntegratorConfig(step=0.1, span=1.0))
+
+    def test_nan_gamma_is_invalid_energy(self):
+        with pytest.raises(InvalidEnergy, match="gamma = nan"):
+            coordinate_time_rhs(ConstantField(0.0), spacetime_point(), [C_DESK, 0, 0, 0],
+                                math.nan, ParticleSpec(1.0, C_DESK))
 
     def test_first_row_is_the_input_at_si_c(self):
         # gamma0*v0 / (gamma0*c/c) is not always v0 to the bit at c = 299792458
@@ -425,6 +428,13 @@ class TestEnergyRate:
         with pytest.raises(InvalidEnergy):
             energy_rate(ConstantField(0.0), spacetime_point(),
                         np.array([C_DESK, 0, 0, 0]), 0.5 * part.rest_energy, part)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf])
+    def test_non_finite_energy_rejected(self, energy):
+        part = ParticleSpec(1.0, C_DESK)
+        with pytest.raises(InvalidEnergy):
+            energy_rate(ConstantField(0.0), spacetime_point(),
+                        np.array([C_DESK, 0, 0, 0]), energy, part)
 
 
 def test_eta_norm_values():

@@ -17,9 +17,8 @@ from valuefield.quantum import (
     gaussian_packet,
     position_expectation,
     schrodinger_step,
-    snapshot_to_csv,
-    summary_to_csv,
 )
+from valuefield.scenarios import run_scenario
 
 
 def grid(n=1024, half_width=40.0, center=0.0):
@@ -361,16 +360,15 @@ class TestEffectiveEnergy:
 
 class TestCsvOutputs:
     def test_snapshot_schema(self, tmp_path):
-        psi = gaussian_packet(grid(n=16, half_width=2.0))
-        path = tmp_path / "snap.csv"
-        snapshot_to_csv(psi, path)
-        lines = path.read_text().splitlines()
+        n = 16
+        run_scenario("schrodinger", {"n": str(n), "steps": "10"}, tmp_path)
+        lines = (tmp_path / "schrodinger_snapshot.csv").read_text().splitlines()
         assert lines[0] == "t,y,re_psi,im_psi,prob_density"
-        assert len(lines) == 17
+        assert len(lines) == 1 + n
 
     def test_summary_schema(self, tmp_path):
-        path = tmp_path / "summary.csv"
-        summary_to_csv([(0.0, 1.0, 0.5), (0.1, 0.9, 0.4)], path)
-        lines = path.read_text().splitlines()
+        steps = 120  # an observation every 2 steps
+        run_scenario("schrodinger", {"n": "16", "steps": str(steps)}, tmp_path)
+        lines = (tmp_path / "schrodinger_summary.csv").read_text().splitlines()
         assert lines[0] == "t,norm_sq,position_expectation"
-        assert len(lines) == 3
+        assert len(lines) == 1 + steps // max(1, steps // 50)
