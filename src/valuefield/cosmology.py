@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import C_M_PER_S, G_M3_KG_S2, MPC_KM, YEAR_S
 from .errors import InvalidBoundaries, OutOfDomain, OutOfRange, require_finite_positive
-from .field import _CORNERS, AlphaField, TimeOnlyField
+from .field import _CORNERS
 
 _FLATNESS_TOL = 1e-12
 
@@ -170,24 +170,13 @@ class AlphaProfile:
     def slope_rate(self, s: float) -> float:
         return self._segment(s).slope_rate(s)
 
-    def at_boundary(self, s: float) -> bool:
-        return any(s == seg.s_hi for seg in self.segments[:-1])
-
     def slope_sides(self, s: float) -> tuple[float, float]:
         """One-sided slopes (left, right); they differ only at a segment boundary."""
         left = self._segment(s).slope(s)
         idx = bisect_left(self._uppers, s)
-        if self.at_boundary(s) and idx + 1 < len(self.segments):
+        if s == self._uppers[idx] and idx + 1 < len(self.segments):
             return left, self.segments[idx + 1].slope(s)
         return left, left
-
-    def as_field(self) -> AlphaField:
-        """View the profile as a spacetime field (time axis only)."""
-        return TimeOnlyField(
-            self.alpha,
-            lambda t: self.slope(t),
-            t_domain=(self.segments[0].s_lo, self.t_now),
-        )
 
 
 def scale_factor(profile: AlphaProfile, s: float) -> float:
@@ -199,17 +188,6 @@ def hubble(profile: AlphaProfile, s: float) -> float:
     """H(s) = adot/a = -A(s). At a segment boundary this is the one-sided
     (left) value; ``profile.slope_sides`` exposes both."""
     return -profile.slope(s)
-
-
-def wavelength_at_reception(lam_emit: float, profile: AlphaProfile,
-                            s_emit: float, s_recv: float) -> float:
-    """Wavelength after transport from emission to reception:
-    lam' = e^{-alpha(s_recv)+alpha(s_emit)} * lam. Red shift iff
-    alpha(s_emit) > alpha(s_recv)."""
-    require_finite_positive("wavelength", lam_emit)
-    if not s_emit <= s_recv:
-        raise OutOfRange("emission must precede reception")
-    return lam_emit * math.exp(profile.alpha_diff(s_emit, s_recv))
 
 
 def redshift(profile: AlphaProfile, s_emit: float, s_recv: float) -> float:
@@ -304,7 +282,8 @@ def build_alpha_profile(params: CosmologyParams, s_rm: float, s_de: float) -> Al
 def local_bound_check(obj, region, x_ref=None, eps: float = 1e-10,
                       samples_per_axis: int = 1000) -> tuple[float, bool]:
     """Maximum |alpha(y) - alpha(x_ref)| over a region, against a detectability
-    threshold eps. Returns (max_deviation, max_deviation < eps).
+    threshold eps. Returns (max_deviation, max_deviation <= eps), the test a
+    report row applies to a measured value and its bound.
 
     For an :class:`AlphaProfile`, ``region`` is a time interval (s_lo, s_hi)
     and x_ref a time (default s_hi). The profile is nonincreasing, so the
@@ -319,7 +298,7 @@ def local_bound_check(obj, region, x_ref=None, eps: float = 1e-10,
         s_lo, s_hi = float(region[0]), float(region[1])
         ref = s_hi if x_ref is None else float(x_ref)
         dev = max(abs(obj.alpha_diff(s_lo, ref)), abs(obj.alpha_diff(s_hi, ref)))
-        return dev, dev < eps
+        return dev, dev <= eps
 
     lo = np.asarray(region[0], dtype=float)
     hi = np.asarray(region[1], dtype=float)
@@ -335,4 +314,4 @@ def local_bound_check(obj, region, x_ref=None, eps: float = 1e-10,
     alpha = obj.alpha(np.vstack([ref, lines.reshape(-1, 4), corners]))
     # np.max propagates NaN, so a NaN deviation fails the check
     dev = float(np.max(np.abs(alpha[1:] - alpha[0])))
-    return dev, dev < eps
+    return dev, dev <= eps

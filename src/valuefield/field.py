@@ -449,13 +449,3 @@ def covariant_derivative(f, field: AlphaField, y, mu: int, coupling: float = 1.0
     a_mu = field.gradient(y)[mu]
     return dfd + coupling * a_mu * f(y)
 
-
-def transport_derivative_quotient(f, field: AlphaField, y, mu: int, h: float) -> float:
-    """One-sided transported difference quotient at finite step h:
-    [e^{-alpha(y)+alpha(y+h)} f(y+h) - f(y)] / h. Tends to the covariant
-    derivative as h -> 0; useful as an independent cross-check."""
-    y = _as_point(y)
-    e = np.zeros(4)
-    e[mu] = h
-    moved = math.exp(field.alpha(y + e) - field.alpha(y)) * f(y + e)
-    return (moved - f(y)) / h

@@ -28,7 +28,6 @@ from .errors import NotNormalized, StepUnstable, require_finite_positive
 from .field import AlphaField
 
 NORMALIZATION_TOL = 1e-12
-RATE_FD_STEP = 1e-6  # step of the central difference of alpha(t) that stands in for A(t)
 
 
 @dataclass
@@ -98,47 +97,22 @@ class HamiltonianSpec:
 
 
 class TimeScaling:
-    """Time-only scaling data: alpha(t) and its rate A(t) = d alpha/dt.
+    """Time-only scaling data: alpha(t), whose rate A(t) = d alpha/dt damps psi."""
 
-    Either callable may be omitted; the missing one is derived (A by central
-    difference of alpha with step RATE_FD_STEP, the damping exponent of a
-    missing alpha by Simpson quadrature of A over the step).
-    """
-
-    def __init__(self, alpha: Callable | None = None, rate: Callable | None = None):
-        if alpha is None and rate is None:
-            raise ValueError("need alpha(t) or A(t)")
+    def __init__(self, alpha: Callable):
         self.alpha = alpha
-        self.rate = rate if rate is not None else self._alpha_difference
-
-    def _alpha_difference(self, t: float) -> float:
-        h = RATE_FD_STEP
-        return (self.alpha(t + h) - self.alpha(t - h)) / (2 * h)
 
     @classmethod
     def constant(cls, a0: float) -> "TimeScaling":
-        return cls(alpha=lambda t: a0 * t, rate=lambda t: a0)
+        return cls(alpha=lambda t: a0 * t)
 
     @classmethod
     def zero(cls) -> "TimeScaling":
         return cls.constant(0.0)
 
-    def rate_consistency(self, t: float) -> float:
-        """|A(t) - central difference of alpha|; 0.0 when alpha is absent.
-
-        Lets callers assert that independently supplied alpha and A actually
-        belong together.
-        """
-        if self.alpha is None:
-            return 0.0
-        return abs(self.rate(t) - self._alpha_difference(t))
-
     def damping_exponent(self, t0: float, t1: float) -> float:
-        """int_{t0}^{t1} A dt, exact as alpha(t1) - alpha(t0) when alpha is known."""
-        if self.alpha is not None:
-            return self.alpha(t1) - self.alpha(t0)
-        h = (t1 - t0) / 2.0
-        return (self.rate(t0) + 4.0 * self.rate(t0 + h) + self.rate(t1)) * h / 3.0
+        """int_{t0}^{t1} A dt, exact as alpha(t1) - alpha(t0)."""
+        return self.alpha(t1) - self.alpha(t0)
 
 
 class _CrankNicolson:
@@ -265,7 +239,3 @@ def position_expectation(psi: WaveFunction1D, field: AlphaField, x_ref) -> float
     total = float(np.sum(weights * psi.y * psi.probability_density()) * psi.dy)
     return math.exp(-field.alpha(x_ref)) * total
 
-
-def free_particle_effective_energy(energy: float, rate_t: float, hbar: float) -> complex:
-    """Plane-wave energy seen by the covariant time derivative: E + i hbar A(t)."""
-    return complex(energy, hbar * rate_t)

@@ -132,19 +132,13 @@ class ScaledVector:
         return ScaledNumber(sum(a * b for a, b in zip(self.value, other.value)), self.scale)
 
 
-@dataclass(frozen=True)
-class TransportedComponents:
-    """Coefficients of the source structure's operations re-expressed at the target scale."""
-
-    add_coeff: object
-    mul_coeff: object
-    div_coeff: object
-    one: object
-    zero: object
-
-
 def value_of_raw(r, s):
-    """Value of the bare base-set element r in the structure scaled by s: r/s."""
+    """Value of the bare base-set element r in the structure scaled by s: r/s.
+
+    A bare element has no value of its own, so where it came from does not
+    matter. Contrast :func:`connect_value`, which moves a number that has a
+    value at the source scale t and so keeps the factor t.
+    """
     _check_scale(s)
     return _ratio(r, s)
 
@@ -160,18 +154,6 @@ def connect_value(target_s, source_t, x: ScaledNumber) -> ScaledNumber:
         raise MixedScales(f"number has scale {x.scale!r}, expected {source_t!r}")
     factor = _ratio(source_t, target_s)
     return ScaledNumber(factor * x.value, target_s)
-
-
-def connect_raw_string(target_d, source_b, r):
-    """Value at scale d of a bare symbol string r, regardless of where it came from.
-
-    A meaningless string is re-read in the target structure, so the result is
-    r/d. Contrast with :func:`connect_value`, which transports a number that
-    already *has* a value at the source scale and therefore keeps the factor b.
-    """
-    _check_scale(target_d)
-    _check_scale(source_b)
-    return _ratio(r, target_d)
 
 
 def scaled_combine(op: str, s, x: ScaledNumber, y: ScaledNumber) -> ScaledNumber:
@@ -208,23 +190,12 @@ def commutation_table(s, t, op: str, a, b):
     return transport, combo, _ratio(combo, transport)
 
 
-def transported_components(s, t) -> TransportedComponents:
-    """Operation coefficients of the scale-t structure expressed at scale s."""
-    _check_scale(s)
-    _check_scale(t)
-    return TransportedComponents(
-        add_coeff=1,
-        mul_coeff=_ratio(s, t),
-        div_coeff=_ratio(t, s),
-        one=_ratio(t, s),
-        zero=0,
-    )
-
-
 def connect_vector(target_s, source_t, v: ScaledVector) -> ScaledVector:
     """Transport a vector between scales: every component picks up t/s.
 
-    The norm (and any dot product) transforms exactly like a scalar value.
+    The norm transforms like a scalar value, by one factor t/s. The dot
+    product of two transported vectors picks up (t/s)^2, which is t/s times
+    the transported dot product: the mul mismatch of :func:`commutation_table`.
     """
     _check_scale(target_s)
     if v.scale != source_t:

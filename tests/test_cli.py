@@ -312,6 +312,17 @@ class TestReports:
         report = run_scenario("cosmology", {"h0_kms_mpc": "67"}, tmp_path)
         assert not next(c for c in report.checks if c.name == "h0_per_year").passed
 
+    def test_bound_check_pass_flags_agree_at_eps_equal_to_deviation(self, tmp_path):
+        dev = run_scenario("bound-check", {}, tmp_path / "default").checks[0].measured
+        out = tmp_path / "at_dev"
+        assert main(["run", str(write_config(tmp_path, "bound-check", {"eps": repr(dev)})),
+                     "--out", str(out)]) == 0
+        with open(out / "bound_check.csv", newline="") as fh:
+            assert [row["pass"] for row in csv.DictReader(fh)] == ["true"]
+        with open(out / "report.csv", newline="") as fh:
+            rows = csv.DictReader(l for l in fh if not l.startswith("#"))
+            assert [row["pass"] for row in rows] == ["true"]
+
     def test_run_scenario_rejects_unknown_key(self, tmp_path):
         with pytest.raises(ConfigInvalid, match="bound-check.volume: unknown key"):
             run_scenario("bound-check", {"volume": "12"}, tmp_path)

@@ -13,7 +13,6 @@ from valuefield.quantum import (
     _check_lapack,
     _CrankNicolson,
     evolve,
-    free_particle_effective_energy,
     gaussian_packet,
     position_expectation,
     schrodinger_step,
@@ -94,27 +93,12 @@ class TestHamiltonianSpec:
 class TestTimeScaling:
     def test_constant_rate(self):
         sc = TimeScaling.constant(0.3)
-        assert sc.rate(12.0) == 0.3
+        assert sc.alpha(12.0) == 0.3 * 12.0
         assert sc.damping_exponent(1.0, 3.0) == pytest.approx(0.6, rel=1e-15)
 
-    def test_rate_derived_from_alpha(self):
-        sc = TimeScaling(alpha=lambda t: 0.5 * t * t)
-        assert sc.rate(2.0) == pytest.approx(2.0, rel=1e-6)
-
-    def test_exponent_from_rate_only(self):
-        # quadratic alpha: Simpson is exact for its linear rate
-        sc = TimeScaling(rate=lambda t: 3.0 * t)
-        assert sc.damping_exponent(0.0, 2.0) == pytest.approx(6.0, rel=1e-14)
-
     def test_requires_something(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             TimeScaling()
-
-    def test_rate_consistency_detects_mismatch(self):
-        good = TimeScaling(alpha=lambda t: 0.3 * t, rate=lambda t: 0.3)
-        bad = TimeScaling(alpha=lambda t: 0.3 * t, rate=lambda t: 0.7)
-        assert good.rate_consistency(1.0) <= 1e-9
-        assert bad.rate_consistency(1.0) == pytest.approx(0.4, rel=1e-6)
 
 
 class TestEvolution:
@@ -342,20 +326,33 @@ class TestPositionExpectation:
             position_expectation(bad, ConstantField(0.0), spacetime_point())
 
 
+def effective_energy(rate, hbar, dt=1e17):
+    """E + i hbar A, the plane-wave energy seen by the covariant time
+    derivative, read off one step on the zero-energy plane wave: its constant
+    amplitudes come back times e^{-i E dt / hbar} e^{-A dt}."""
+    n = 64
+    psi = WaveFunction1D(grid(n=n, half_width=2.0), np.full(n, 0.5 + 0.0j))
+    out = schrodinger_step(psi, HamiltonianSpec("spectral", hbar=hbar),
+                           TimeScaling.constant(rate), dt)
+    log = np.log(out.psi / psi.psi)
+    return hbar * (-log.imag - 1j * log.real) / dt
+
+
 class TestEffectiveEnergy:
     def test_zero_rate(self):
-        assert free_particle_effective_energy(1.7, 0.0, 1.0) == 1.7 + 0j
+        assert np.abs(effective_energy(0.0, 1.0, dt=0.25)).max() <= 1e-14
 
     def test_hubble_rate_magnitude(self):
-        # 1 eV energy, A = 2.3e-18 1/s: imaginary part hbar*A ~ 1.5e-33 eV
+        # A = 2.3e-18 1/s over about the age of the universe: imaginary part
+        # hbar*A ~ 1.5e-33 eV, and no real (phase) part at zero energy
         hbar_ev_s = 6.582119569e-16
-        out = free_particle_effective_energy(1.0, 2.3e-18, hbar_ev_s)
-        assert out.real == 1.0
+        out = effective_energy(2.3e-18, hbar_ev_s)
+        assert np.abs(out.real).max() <= 1e-45
         assert out.imag == pytest.approx(1.514e-33, rel=1e-3)
 
     def test_expanding_universe_sign(self):
-        out = free_particle_effective_energy(1.0, -2.3e-18, 1.0)
-        assert out.imag < 0  # negative A: norm grows, e^{-2 int A} > 1
+        out = effective_energy(-2.3e-18, 1.0)
+        assert (out.imag < 0).all()  # negative A: norm grows, e^{-2 int A} > 1
 
 
 class TestCsvOutputs:

@@ -13,12 +13,10 @@ from valuefield.scaled_numbers import (
     ScaledNumber,
     ScaledVector,
     commutation_table,
-    connect_raw_string,
     connect_value,
     connect_vector,
     natural_op,
     scaled_combine,
-    transported_components,
     valuation_natural,
     value_of_raw,
 )
@@ -128,14 +126,18 @@ class TestConnection:
 
 class TestConnectRawString:
     def test_scale_one_conflation(self):
-        assert connect_raw_string(1, 5, 4.56) == 4.56
+        assert value_of_raw(4.56, 1) == 4.56
 
     def test_independent_of_source_scale(self):
-        assert connect_raw_string(2, 4, 4.56) == 2.28
-        assert connect_raw_string(2, 17, 4.56) == 2.28
+        assert value_of_raw(4.56, 2) == 2.28
+        # the same bare element, as a number at scale 4 and at scale 17
+        for t in (4, 17):
+            assert value_of_raw(ScaledNumber(F(456, 100 * t), t).raw, 2) == F(228, 100)
 
-    def test_matches_value_of_raw(self):
-        assert connect_raw_string(4, 4, 8) == value_of_raw(8, 4) == 2
+    @given(positive_fractions, positive_fractions, any_fractions)
+    def test_matches_value_of_raw(self, s, t, a):
+        x = ScaledNumber(a, t)
+        assert connect_value(s, t, x).value == value_of_raw(x.raw, s)
 
 
 class TestScaledCombine:
@@ -222,21 +224,30 @@ class TestCommutation:
 
 
 class TestTransportedComponents:
+    """The scale-t operations seen at scale s: mul and div mismatch by the
+    ratios of :func:`commutation_table`, and the unit moves to value t/s."""
+
     def test_identity(self):
-        out = transported_components(3, 3)
-        assert (out.add_coeff, out.mul_coeff, out.div_coeff, out.one, out.zero) == (1, 1, 1, 1, 0)
+        for op in ("add", "sub", "mul", "div"):
+            assert commutation_table(3, 3, op, F(2), F(7))[2] == 1
+        assert connect_value(3, 3, ScaledNumber(1, 3)).value == 1
+        assert connect_value(3, 3, ScaledNumber(0, 3)).value == 0
 
     def test_worked_cases(self):
-        out = transported_components(F(2), F(4))
-        assert (out.mul_coeff, out.div_coeff, out.one, out.zero) == (F(1, 2), 2, 2, 0)
-        out = transported_components(F(4), F(2))
-        assert (out.mul_coeff, out.div_coeff, out.one, out.zero) == (2, F(1, 2), F(1, 2), 0)
+        for s, t, mul, div in ((F(2), F(4), 2, F(1, 2)), (F(4), F(2), F(1, 2), 2)):
+            assert commutation_table(s, t, "mul", F(3), F(5))[2] == mul
+            assert commutation_table(s, t, "div", F(3), F(5))[2] == div
+            assert connect_value(s, t, ScaledNumber(1, t)).value == mul
+            assert connect_value(s, t, ScaledNumber(0, t)).value == 0
 
-    @given(positive_fractions, positive_fractions)
-    def test_coefficients_invert(self, s, t):
-        out = transported_components(s, t)
-        assert out.mul_coeff * out.div_coeff == 1
-        assert out.one == out.div_coeff
+    @given(positive_fractions, positive_fractions, nonzero_fractions)
+    def test_coefficients_invert(self, s, t, a):
+        mul = commutation_table(s, t, "mul", a, a)[2]
+        assert mul * commutation_table(s, t, "div", a, a)[2] == 1
+        # the transported unit multiplies, at scale s, by the mul mismatch
+        one = connect_value(s, t, ScaledNumber(1, t))
+        assert one.value == mul
+        assert scaled_combine("mul", s, one, ScaledNumber(a, s)).value == mul * a
 
 
 class TestVectors:
@@ -260,6 +271,9 @@ class TestVectors:
         dot = u.dot(v)
         moved = connect_value(F(2), F(4), dot)
         assert moved.value == F(4, 2) * dot.value
+        # transporting the vectors first picks up t/s once more: 52 against 26
+        both = connect_vector(F(2), F(4), u).dot(connect_vector(F(2), F(4), v))
+        assert both.value == F(4, 2) * moved.value
 
     def test_mixed_scale_dot_rejected(self):
         with pytest.raises(MixedScales):
