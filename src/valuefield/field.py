@@ -6,10 +6,10 @@ integrals pick up an e^{alpha(y)} weight under the integral (with the
 reference factor e^{-alpha(x)} outside), and derivatives gain the additive
 gradient term A_mu = d alpha / d y^mu.
 
-Point convention: a spacetime point is a length-4 ndarray (t, x, y, z) with
-t in seconds and x, y, z in meters. The stored temporal gradient component
-is d alpha/dt in 1/s; geometry code converts it to 1/m (divide by c) where a
-4-vector contraction needs a uniform unit.
+Point convention: a spacetime point is a length-4 ndarray or list (t, x, y,
+z) with t in seconds and x, y, z in meters. The stored temporal gradient
+component is d alpha/dt in 1/s; geometry code converts it to 1/m (divide by
+c) where a 4-vector contraction needs a uniform unit.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ def _as_point(p) -> np.ndarray:
     return p
 
 
+_FLOAT4 = [float] * 4  # the element types of a point the field checks as it is
+
 # the 16 corners of a 4-D cell: corner c has bit k of c on axis k
 _CORNERS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 
@@ -49,20 +51,24 @@ _CORNERS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 class AlphaField:
     """Base class: a real scalar field over spacetime with gradient access.
 
-    ``alpha(p)`` takes one point, a length-4 array, and returns a float, or
-    takes an ``(N, 4)`` array of points and returns an ``(N,)`` array whose
-    row i equals the call on point i, bit for bit. ``gradient(p)`` takes one
-    point and returns a 4-vector. Subclasses implement ``_alpha_rows(rows)``
-    on an ``(N, 4)`` array whose rows are finite and inside the domain.
+    ``alpha(p)`` takes one point, a length-4 array or list, and returns a
+    float, or takes an ``(N, 4)`` array of points and returns an ``(N,)``
+    array whose row i equals the call on point i, bit for bit.
+    ``gradient(p)`` takes one point and returns a 4-vector. Subclasses
+    implement ``_alpha_rows(rows)`` on an ``(N, 4)`` array whose rows are
+    finite and inside the domain.
 
     A single point is checked on Python floats and handed to the one-point
-    hooks ``_point_alpha(p, x)`` and ``_point_gradient(p, x)``, where ``p`` is
-    the point as a float array of shape (4,) and ``x`` the same point as a list
-    of 4 floats. They return a float equal to row 0 of ``_alpha_rows`` on
-    ``p[None]`` and a new float array of shape (4,); the defaults here compute
-    that row and the finite-difference :meth:`_stencil_gradient`. A subclass
-    overrides ``_point_alpha`` only to skip the batch machinery, and
-    ``_point_gradient`` where it has its own gradient.
+    hooks ``_point_alpha(x)`` and ``_point_gradient(x)`` as ``x``, a list of 4
+    finite floats inside the domain. A list of 4 Python floats is checked
+    as it is; any other point goes through ``np.asarray(p, dtype=float)``
+    first, so a list and an array of the same point give the same result
+    or the same error. The hooks return a float equal to row 0 of
+    ``_alpha_rows`` on ``np.array([x])`` and a new float array of shape (4,);
+    the defaults here compute that row and the finite-difference
+    :meth:`_stencil_gradient`. A subclass overrides ``_point_alpha`` only to
+    skip the batch machinery, and ``_point_gradient`` where it has its own
+    gradient; a hook that needs an array builds its own from ``x``.
 
     ``domain`` is an optional axis-aligned box (lo, hi), each a 4-vector;
     None means unbounded.
@@ -72,35 +78,38 @@ class AlphaField:
     fd_scale: float = _REL_FD_STEP
 
     def alpha(self, p) -> float | np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return self._point_alpha(p, self._point(p))
-        return self._alpha_rows(self._require_inside(p))
+        if type(p) is not list or [*map(type, p)] != _FLOAT4:
+            p = np.asarray(p, dtype=float)
+            if p.ndim != 1:
+                return self._alpha_rows(self._require_inside(p))
+        return self._point_alpha(self._point(p))
 
     def gradient(self, p) -> np.ndarray:
         """(d alpha/dt [1/s], d alpha/dx, d alpha/dy, d alpha/dz [1/m]) at one point."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 1:
-            raise ValueError(f"gradient takes one spacetime point of shape (4,), got {p.shape}")
-        return self._point_gradient(p, self._point(p))
+        if type(p) is not list or [*map(type, p)] != _FLOAT4:
+            p = np.asarray(p, dtype=float)
+            if p.ndim != 1:
+                raise ValueError(
+                    f"gradient takes one spacetime point of shape (4,), got {p.shape}")
+        return self._point_gradient(self._point(p))
 
-    def _point_alpha(self, p: np.ndarray, x: list) -> float:
-        return float(self._alpha_rows(p[None])[0])
+    def _point_alpha(self, x: list) -> float:
+        return float(self._alpha_rows(np.array([x]))[0])
 
-    def _point_gradient(self, p: np.ndarray, x: list) -> np.ndarray:
-        return self._stencil_gradient(p)
+    def _point_gradient(self, x: list) -> np.ndarray:
+        return self._stencil_gradient(np.array(x))
 
     def _alpha_rows(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------
 
-    def _point(self, p: np.ndarray) -> list:
-        """The 1-D float array ``p`` as a list of floats, after the checks of
-        :meth:`_require_inside` made on floats; a point that fails them gets
-        :func:`_as_point`'s shape or finiteness error, or the domain error of
-        :meth:`_require_inside`."""
-        x = p.tolist()
+    def _point(self, p) -> list:
+        """The point ``p``, a list of 4 floats or a 1-D float array, as a list
+        of floats, after the checks of :meth:`_require_inside` made on floats;
+        a point that fails them gets :func:`_as_point`'s shape or finiteness
+        error, or the domain error of :meth:`_require_inside`."""
+        x = p if type(p) is list else p.tolist()
         if len(x) == 4 and all(map(math.isfinite, x)):
             if self.domain is None:
                 return x
@@ -177,13 +186,14 @@ class AnalyticField(AlphaField):
     def _alpha_rows(self, rows):
         return np.fromiter(map(self._alpha_fn, rows), float, len(rows))
 
-    def _point_alpha(self, p, x):
-        a = self._alpha_fn(p)
+    def _point_alpha(self, x):
+        a = self._alpha_fn(np.array(x, dtype=float))
         # what is not a float is converted by np.fromiter, as in a batch, for
         # the same value or the same error
         return float(a) if isinstance(a, float) else float(np.fromiter((a,), float, 1)[0])
 
-    def _point_gradient(self, p, x):
+    def _point_gradient(self, x):
+        p = np.array(x, dtype=float)
         if self._grad_fn is None:
             return self._stencil_gradient(p)
         g = np.array(self._grad_fn(p), dtype=float)
@@ -201,10 +211,10 @@ class ConstantField(AlphaField):
     def _alpha_rows(self, rows):
         return np.full(len(rows), float(self.value))
 
-    def _point_alpha(self, p, x):
+    def _point_alpha(self, x):
         return float(self.value)
 
-    def _point_gradient(self, p, x):
+    def _point_gradient(self, x):
         return np.zeros(4)
 
 
@@ -279,14 +289,14 @@ class GridField(AlphaField):
         w012 = [w * a2 for w in w01] + [w * b2 for w in w01]
         return base, [w * a3 for w in w012] + [w * b3 for w in w012]
 
-    def _point_alpha(self, p, x):
+    def _point_alpha(self, x):
         base, weights = self._point_cell(x, 0)
         values = self._samples.take(self._corner_offsets + base).tolist()
         # summed left to right from corner 0's term, as np.add.accumulate sums a
         # batch row; sum() would start from 0 and turn a -0.0 into 0.0
         return functools.reduce(operator.add, map(operator.mul, weights, values))
 
-    def _point_gradient(self, p, x):
+    def _point_gradient(self, x):
         """The central difference (f(x + h_k) - f(x - h_k)) / 2h_k one spacing
         wide. On the multilinear interpolant, x +- h_k e_k sits at x's
         fractional position in the next cell, so where the stencil is inside
@@ -298,7 +308,7 @@ class GridField(AlphaField):
         if self._neighbour_offsets is None or not all(
                 xk - s >= a and xk + s <= b
                 for xk, s, a, b in zip(x, self._spacing.tolist(), lo.tolist(), hi.tolist())):
-            return self._stencil_gradient(p)
+            return self._stencil_gradient(np.array(x))
         # the stencil inside the box puts each fractional index in [1, n-2];
         # clamping the cell to [1, n-3] keeps every neighbour in [0, n-1]
         base, weights = self._point_cell(x, 1)

@@ -17,6 +17,7 @@ the per-meter component used in contractions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,17 +110,19 @@ def _eta_uu(u: list) -> float:
 def geodesic_rhs(field: AlphaField, state: GeodesicState, c: float) -> np.ndarray:
     """du/dtau for a free particle (or light ray) in the scaled geometry."""
     require_finite_positive("c", c)
-    return np.array(_geodesic_du(field, state.p, state.u.tolist(), c))
+    return np.array(_geodesic_dy(field, c, state.p.tolist() + state.u.tolist())[4:])
 
 
-def _geodesic_du(field: AlphaField, p, u: list, c: float) -> list:
-    """The geodesic equation on floats: four du/dtau from the four floats u."""
-    g0, a1, a2, a3 = field.gradient(p).tolist()
+def _geodesic_dy(field: AlphaField, c: float, y: list) -> list:
+    """The geodesic equation on floats: d/dtau of the state y, the eight
+    floats (t, x, y, z, u0, u1, u2, u3), with dt/dtau = u0 / c."""
+    g0, a1, a2, a3 = field.gradient(y[:4]).tolist()
     a0 = g0 / c  # the per-meter temporal component, as in a_per_meter
-    u0, u1, u2, u3 = u
+    u0, u1, u2, u3 = y[4:]
     m = -(((a0 * u0 + a1 * u1) + a2 * u2) + a3 * u3)  # -(A . u)
     q2 = -(((-(u0 * u0) + u1 * u1) + u2 * u2) + u3 * u3)  # c^2 massive, 0 null
-    return [m * u0 - 0.5 * a0 * q2, m * u1 + 0.5 * a1 * q2,
+    return [u0 / c, u1, u2, u3,
+            m * u0 - 0.5 * a0 * q2, m * u1 + 0.5 * a1 * q2,
             m * u2 + 0.5 * a2 * q2, m * u3 + 0.5 * a3 * q2]
 
 
@@ -187,9 +190,6 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
     """
     require_finite_positive("c", c)
 
-    def rhs(y):
-        return [y[4] / c, y[5], y[6], y[7], *_geodesic_du(field, y[:4], y[4:], c)]
-
     def monitor(y0):
         alpha0, q0 = field.alpha(y0[:4]), _eta_uu(y0[4:])
         scale = max(abs(q0), y0[4] ** 2)
@@ -198,7 +198,8 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
         return lambda yv: abs(
             np.exp(3.0 * (field.alpha(yv[:4]) - alpha0)) * _eta_uu(yv[4:]) - q0) / scale
 
-    ys, drift = _rk4_path(rhs, np.concatenate([init.p, init.u]), cfg, monitor, "geodesic")
+    ys, drift = _rk4_path(functools.partial(_geodesic_dy, field, c),
+                          np.concatenate([init.p, init.u]), cfg, monitor, "geodesic")
     return Trajectory(cfg.step * np.arange(len(ys), dtype=float), ys[:, :4], ys[:, 4:],
                       drift)
 
@@ -214,13 +215,18 @@ def coordinate_time_rhs(field: AlphaField, p, dpds, gamma: float,
     return np.array(_coordinate_dw(field, p, dpds, gamma, particle))
 
 
+def _require_gamma(gamma: float, p) -> None:
+    if not 1.0 <= gamma < math.inf:  # NaN fails too
+        raise InvalidEnergy(f"gamma = {gamma!r} is not finite and at least 1 at coordinate "
+                            f"time t = {float(p[0])!r}: below 1 the particle cannot climb "
+                            "the field")
+
+
 def _coordinate_dw(field: AlphaField, p, dpds: list, gamma: float,
                    particle: ParticleSpec) -> list:
     """The coordinate-time equation on floats: four d(gamma dp/ds)/ds from the
     four floats dpds."""
-    if not gamma >= 1.0:  # NaN fails too
-        raise InvalidEnergy(f"gamma = {gamma!r} is not at least 1 at coordinate time "
-                            f"t = {p[0]!r}: the particle cannot climb the field")
+    _require_gamma(gamma, p)
     c = particle.c
     g0, a1, a2, a3 = field.gradient(p).tolist()
     a0 = g0 / c  # the per-meter temporal component, as in a_per_meter
@@ -237,8 +243,10 @@ def gamma_rate(field: AlphaField, p, dpds, gamma: float, c: float) -> float:
 
     Derived from the mu = 0 coordinate-time equation with dp0/ds = c, which
     carries the inverse-metric factor etainv_00 = -1 on the gradient source
-    term, consistent with :func:`coordinate_time_rhs`.
+    term, consistent with :func:`coordinate_time_rhs`. A gamma that is not
+    finite and at least 1 raises ``InvalidEnergy``, as there.
     """
+    _require_gamma(gamma, p)
     a = a_per_meter(field, p, c)
     dpds = np.asarray(dpds, dtype=float)
     return 0.5 * ETA[0] * a[0] * c / gamma - float(a @ dpds) * gamma

@@ -1,10 +1,12 @@
+import csv
 import io
 import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from valuefield._csv import write_column, write_csv
+from valuefield._csv import _BLOCK, write_column, write_csv
 
 
 def test_one_cell_format():
@@ -45,3 +47,55 @@ def test_column_writes_the_bytes_of_a_one_column_table():
     write_csv(table, ["v"], values[:, None])
     write_column(column, values)
     assert table.getvalue() == "v\r\n" + column.getvalue()
+
+
+def _csv_module_bytes(header, table):
+    """The reference: csv.writer on the ``repr`` of every cell."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([repr(v) for v in row] for row in table.tolist())
+    return fh.getvalue()
+
+
+def _tables():
+    rng = np.random.default_rng(3)
+    n = _BLOCK + 1
+    varying = rng.normal(size=n)
+    signed_zeros = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+    last_differs = np.full(n, 2.5)
+    last_differs[-1] = np.nextafter(2.5, 3.0)  # one ulp, in the second block
+    late_zero = np.full(n, 0.0)
+    late_zero[-1] = -0.0  # equal to 0.0 as a float, not as bits
+    other_nan = np.frombuffer(np.array([0x7FF8000000000001], np.int64).tobytes(), float)[0]
+    nan_payloads = np.full(n, np.nan)
+    nan_payloads[1] = other_nan  # two NaN bit patterns, one text
+    return {
+        "mixed": np.column_stack([varying, np.full(n, -0.0), signed_zeros, np.full(n, np.nan),
+                                  np.full(n, 1e300), last_differs, late_zero, nan_payloads,
+                                  np.full(n, np.inf)]),
+        "all-constant": np.tile([0.0, -0.0, 5e-324, np.nan, -np.inf, 0.1], (n, 1)),
+        "all-varying": rng.normal(size=(n, 4)),
+        "one-row": np.array([[0.1, -0.0, np.nan, 1e16, 5e-324]]),
+        "no-rows": np.zeros((0, 3)),
+        "block-rows": rng.normal(size=(_BLOCK, 2)),
+        "strided": np.column_stack([varying, np.full(n, 7.0)] * 2)[::2, ::-1],
+    }
+
+
+@pytest.mark.parametrize("name", list(_tables()))
+def test_float_array_writes_the_csv_module_bytes(name):
+    table = _tables()[name]
+    header = [f"c{i}" for i in range(table.shape[1])]
+    fh = io.StringIO()
+    write_csv(fh, header, table)
+    assert fh.getvalue() == _csv_module_bytes(header, table)
+
+
+def test_column_writes_one_repr_per_line_across_blocks():
+    values = np.concatenate([np.random.default_rng(4).normal(size=2 * _BLOCK),
+                             [-0.0, np.nan, np.inf, 5e-324]])
+    for n in (0, 1, _BLOCK, _BLOCK + 1, len(values)):
+        fh = io.StringIO()
+        write_column(fh, values[:n])
+        assert fh.getvalue() == "".join(f"{v!r}\r\n" for v in values[:n].tolist())

@@ -626,3 +626,89 @@ def test_grid_state_is_read_only(name, value):
     assert fld.alpha(spacetime_point(1.0, 1.0, 1.0, 1.0)) == 15.0
     with pytest.raises(OutOfDomain):
         fld.alpha(spacetime_point(1.5, 0.5, 0.5, 0.5))
+
+
+class _RowsOnly(AlphaField):
+    """A field with only ``_alpha_rows``: the base class's one-point hooks."""
+
+    domain = BOX
+
+    def _alpha_rows(self, rows):
+        return np.cos(rows @ [0.3, -0.2, 0.5, 0.1])
+
+
+LIST_FIELDS = {**FIELDS, "rows-only": _RowsOnly()}
+
+
+def _outcome(call, p):
+    """What ``call(p)`` gives: ("ok", its type and bytes) or (error type, message)."""
+    try:
+        out = call(p)
+    except Exception as exc:  # compared, not swallowed: each side must raise the same
+        return type(exc), str(exc)
+    return "ok", type(out), np.asarray(out).tobytes()
+
+
+@pytest.mark.parametrize("fld", LIST_FIELDS.values(), ids=LIST_FIELDS.keys())
+def test_float_list_point_equals_array_point(fld):
+    rng = np.random.default_rng(29)
+    lo, hi = BOX
+    pts = np.vstack([lo + (hi - lo) * (0.3 + 0.4 * rng.random((10, 4))),  # interior
+                     lo + (hi - lo) * rng.random((20, 4)),
+                     lo, hi,                                                # walls
+                     np.where(np.arange(4) == 2, hi, lo + 0.3 * (hi - lo)),  # top edge
+                     _knife_edge_points(fld, lo + 0.5 * (hi - lo)[None, :])])
+    for p in pts:
+        x = p.tolist()
+        for call in (fld.alpha, fld.gradient):
+            assert _outcome(call, x) == _outcome(call, p)
+        assert type(fld.alpha(x)) is float
+
+
+@pytest.mark.parametrize("fld", LIST_FIELDS.values(), ids=LIST_FIELDS.keys())
+def test_list_point_errors_equal_array_point_errors(fld):
+    lo, hi = BOX
+    mid = (lo + 0.5 * (hi - lo)).tolist()
+    bad = [mid[:3], mid + [0.5], [math.nan, *mid[1:]], [*mid[:2], math.inf, mid[3]],
+           [*mid[:3], -math.inf]]
+    if fld.domain is not None:  # one ulp outside each finite wall
+        for k in range(4):
+            for wall, away in zip(fld.domain, (-np.inf, np.inf)):
+                if np.isfinite(wall[k]):
+                    bad.append([*mid[:k], float(np.nextafter(wall[k], away)), *mid[k + 1:]])
+    for x in bad:
+        for call in (fld.alpha, fld.gradient):
+            kind, message = _outcome(call, x)
+            assert kind != "ok" and (kind, message) == _outcome(call, np.array(x))
+
+
+@pytest.mark.parametrize("fld", LIST_FIELDS.values(), ids=LIST_FIELDS.keys())
+def test_list_point_of_ints_equals_its_float_array(fld):
+    # ints, and floats mixed with ints or NumPy scalars, convert as np.asarray does
+    points = [[0, -1, 1, 0], [1, -1, 3, 1], [0.5, -1, 2, np.float64(0.75)], [0, 0, 0, 0],
+              [2, -1, 1, 0]]  # the last two lie outside BOX on some axis
+    for x in points:
+        p = np.array(x, dtype=float)
+        for call in (fld.alpha, fld.gradient):
+            assert _outcome(call, x) == _outcome(call, p)
+
+
+def test_one_point_hooks_get_the_point_as_a_list_of_floats():
+    seen = []
+
+    class Recording(ConstantField):
+        def _point_alpha(self, x):
+            seen.append(x)
+            return super()._point_alpha(x)
+
+        def _point_gradient(self, x):
+            seen.append(x)
+            return super()._point_gradient(x)
+
+    fld = Recording(0.1)
+    for p in ([0.5, 1, 2, 3], np.array([0.5, 1, 2, 3]), [0.5, 1.0, 2.0, 3.0]):
+        fld.alpha(p)
+        fld.gradient(p)
+    assert len(seen) == 6
+    for x in seen:
+        assert type(x) is list and [type(v) for v in x] == [float] * 4 and x == [0.5, 1, 2, 3]

@@ -5,8 +5,8 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from valuefield.errors import InvalidEnergy, LeftDomain
-from valuefield.field import (AnalyticField, ConstantField, GridField, TimeOnlyField,
-                              spacetime_point)
+from valuefield.field import (AlphaField, AnalyticField, ConstantField, GridField,
+                              TimeOnlyField, spacetime_point)
 from valuefield.geometry import (
     ETA,
     GeodesicState,
@@ -46,6 +46,26 @@ def wave_field():
     """alpha = 0.05 sin(k . p): all four gradient components are nonzero."""
     return AnalyticField(lambda p: 0.05 * math.sin(K_WAVE @ p),
                          lambda p: 0.05 * math.cos(K_WAVE @ p) * K_WAVE)
+
+
+class DelegatingField(AlphaField):
+    """A proxy that forwards the public calls, as a tracing wrapper does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.domain = inner.domain
+
+    def alpha(self, p):
+        return self._inner.alpha(p)
+
+    def gradient(self, p):
+        return self._inner.gradient(p)
+
+
+def assert_same_trajectory(a, b):
+    for got, want in zip((a.tau, a.p, a.u), (b.tau, b.p, b.u)):
+        assert got.tobytes() == want.tobytes()
+    assert a.norm_drift == b.norm_drift
 
 
 def numpy_rk4_geodesic(field, init, h, n, c):
@@ -220,6 +240,40 @@ class TestIntegrateGeodesic:
         scale = max(abs(q0), init.u[0] ** 2)
         assert traj.norm_drift == max(abs(eta_norm(u) - q0) / scale for u in traj.u[1:])
 
+    def test_default_geodesic_calls_the_public_field_methods(self):
+        # the geodesic scenario's defaults: four gradient calls per RK4 step,
+        # one alpha call per step and one at the start, all through the
+        # public methods, so a delegating proxy sees every call
+        class CountingField(ConstantField):
+            alpha_calls = gradient_calls = 0
+
+            def alpha(self, p):
+                self.alpha_calls += 1
+                return super().alpha(p)
+
+            def gradient(self, p):
+                self.gradient_calls += 1
+                return super().gradient(p)
+
+        c, beta, span = 299792458.0, 0.3, 1e-4
+        gamma = 1.0 / math.sqrt(1.0 - beta ** 2)
+        init = GeodesicState(spacetime_point(), np.array([gamma * c, gamma * beta * c, 0, 0]))
+        cfg = IntegratorConfig(step=span / 10000, span=span)
+        fld = CountingField(0.4)
+        traj = integrate_geodesic(fld, init, cfg, c)
+        assert (fld.gradient_calls, fld.alpha_calls) == (40000, 10001)
+        inner = CountingField(0.4)
+        proxied = integrate_geodesic(DelegatingField(inner), init, cfg, c)
+        assert (inner.gradient_calls, inner.alpha_calls) == (40000, 10001)
+        assert_same_trajectory(proxied, traj)
+
+    def test_delegating_proxy_gives_the_same_trajectory(self):
+        init = GeodesicState(spacetime_point(0.1, 0.2, -0.3, 0.4),
+                             np.array([1.2 * C_DESK, 0.9, -0.6, 0.5]))
+        cfg = IntegratorConfig(step=1e-2, span=1.0)
+        proxied = integrate_geodesic(DelegatingField(wave_field()), init, cfg, C_DESK)
+        assert_same_trajectory(proxied, integrate_geodesic(wave_field(), init, cfg, C_DESK))
+
     def test_unreachable_tolerance_raises(self):
         from valuefield.errors import StepUnstable
         fld = time_field(-0.5 * C_DESK)
@@ -355,6 +409,13 @@ class TestCoordinateTime:
             coordinate_time_rhs(ConstantField(0.0), spacetime_point(), [C_DESK, 0, 0, 0],
                                 math.nan, ParticleSpec(1.0, C_DESK))
 
+    @pytest.mark.parametrize("gamma", [math.nan, 0.5, math.inf])
+    def test_gamma_not_finite_and_at_least_one_is_invalid_energy(self, gamma):
+        fld = TimeOnlyField(lambda t: 1e-2 * t, lambda t: 1e-2)
+        with pytest.raises(InvalidEnergy, match=f"gamma = {gamma!r}"):
+            coordinate_time_rhs(fld, spacetime_point(), [C_DESK, 0, 0, 0], gamma,
+                                ParticleSpec(1.0, C_DESK))
+
     def test_first_row_is_the_input_at_si_c(self):
         # gamma0*v0 / (gamma0*c/c) is not always v0 to the bit at c = 299792458
         rng = np.random.default_rng(7)
@@ -398,6 +459,12 @@ class TestEnergyRate:
         out = gamma_rate(fld, spacetime_point(), np.array([C_DESK, 0, 0, 0]), 1.0, C_DESK)
         a0 = -2e-5
         assert out == pytest.approx(-1.5 * a0 * C_DESK, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [math.nan, 0.5, math.inf])
+    def test_gamma_rate_refuses_gamma_not_finite_and_at_least_one(self, gamma):
+        fld = TimeOnlyField(lambda t: 1e-2 * t, lambda t: 1e-2)
+        with pytest.raises(InvalidEnergy, match=f"gamma = {gamma!r}"):
+            gamma_rate(fld, spacetime_point(), np.array([C_DESK, 0, 0, 0]), gamma, C_DESK)
 
     def test_formula_matches_integrator_derivative(self):
         # independent oracle: finite-difference E(s) from the coordinate-time
