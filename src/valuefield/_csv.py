@@ -22,7 +22,7 @@ import itertools
 import numpy as np
 
 _END = csv.excel.lineterminator  # the line end of csv.writer's default dialect
-_BLOCK = 4096  # rows (or column values) formatted per write, not the whole table
+_BLOCK = 1024  # rows (or column values) formatted per write, not the whole table
 
 
 def _cell(v):

@@ -42,8 +42,6 @@ def _as_point(p) -> np.ndarray:
     return p
 
 
-_FLOAT4 = [float] * 4  # the element types of a point the field checks as it is
-
 # the 16 corners of a 4-D cell: corner c has bit k of c on axis k
 _CORNERS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 
@@ -78,7 +76,8 @@ class AlphaField:
     fd_scale: float = _REL_FD_STEP
 
     def alpha(self, p) -> float | np.ndarray:
-        if type(p) is not list or [*map(type, p)] != _FLOAT4:
+        if not (type(p) is list and len(p) == 4
+                and type(p[0]) is type(p[1]) is type(p[2]) is type(p[3]) is float):
             p = np.asarray(p, dtype=float)
             if p.ndim != 1:
                 return self._alpha_rows(self._require_inside(p))
@@ -86,7 +85,8 @@ class AlphaField:
 
     def gradient(self, p) -> np.ndarray:
         """(d alpha/dt [1/s], d alpha/dx, d alpha/dy, d alpha/dz [1/m]) at one point."""
-        if type(p) is not list or [*map(type, p)] != _FLOAT4:
+        if not (type(p) is list and len(p) == 4
+                and type(p[0]) is type(p[1]) is type(p[2]) is type(p[3]) is float):
             p = np.asarray(p, dtype=float)
             if p.ndim != 1:
                 raise ValueError(
@@ -252,6 +252,10 @@ class GridField(AlphaField):
         self._neighbour_offsets = (
             self._corner_offsets + np.array([self._strides, -self._strides])[:, :, None]
             if (self._last_cell >= 2).all() else None)
+        # the one-point path reads the constants per axis as Python floats and ints
+        self._cell_axes = [*zip(origin.tolist(), spacing.tolist(), self._strides.tolist(),
+                                self._last_cell.tolist())]
+        self._stencil_axes = [*zip(spacing.tolist(), *(b.tolist() for b in self._domain))]
 
     samples = property(lambda self: self._samples, doc="The 4-D sample array (read-only).")
     origin = property(lambda self: self._origin, doc="The lowest node (t, x, y, z) (read-only).")
@@ -275,8 +279,7 @@ class GridField(AlphaField):
         cell's lowest node and the 16 corner weights, each ((v0*v1)*v2)*v3 as
         ``prod`` forms it, corner 0 first."""
         base, v = 0, []
-        for xk, o, s, stride, top in zip(x, self._origin.tolist(), self._spacing.tolist(),
-                                         self._strides.tolist(), self._last_cell.tolist()):
+        for xk, (o, s, stride, top) in zip(x, self._cell_axes):
             f = (xk - o) / s
             i = int(f)
             i = top - margin if i > top - margin else i  # np.minimum, then np.maximum, as in a batch
@@ -304,10 +307,8 @@ class GridField(AlphaField):
         differences (s[i+1] - s[i-1]) / 2h_k: one gather of both neighbours of
         the 16 corners along every axis. Other points (walls, top edges, axes
         of fewer than 4 samples) take :meth:`_stencil_gradient`."""
-        lo, hi = self._domain
         if self._neighbour_offsets is None or not all(
-                xk - s >= a and xk + s <= b
-                for xk, s, a, b in zip(x, self._spacing.tolist(), lo.tolist(), hi.tolist())):
+                xk - s >= a and xk + s <= b for xk, (s, a, b) in zip(x, self._stencil_axes)):
             return self._stencil_gradient(np.array(x))
         # the stencil inside the box puts each fractional index in [1, n-2];
         # clamping the cell to [1, n-3] keeps every neighbour in [0, n-1]

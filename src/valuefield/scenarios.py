@@ -337,9 +337,18 @@ def scenario_schrodinger(p: dict, out_dir: Path) -> RunReport:
     spread = 1.0 + (ham.hbar * steps * dt / (2 * ham.mass)) ** 2
     report.add_bound("free_spreading_variance_rel_err", abs(var / spread - 1.0), 1e-6)
 
+    # the transport weight e^{alpha} of <y>: under alpha = k y the unit-variance
+    # centred packet has <y> = k e^{k^2/2}, here on a grid of its own, as the
+    # spreading row is the one that tests the configured resolution
+    k = 0.3
+    x_ref = vfield.spacetime_point(0.0, 0.0, 0.0, 0.0)
+    packet = qm.gaussian_packet(np.linspace(-40.0, 40.0, 1024, endpoint=False))
+    report.add("position_expectation_alpha_ky", k * math.exp(k * k / 2),
+               qm.position_expectation(packet, vfield.AnalyticField(lambda q: k * q[1]),
+                                       x_ref), 1e-12)
+
     rows = []
     fld0 = vfield.ConstantField(0.0)
-    x_ref = vfield.spacetime_point(0.0, 0.0, 0.0, 0.0)
 
     def record(i, state):
         rows.append((state.t, state.norm_sq(),

@@ -116,6 +116,17 @@ class TestExitCodes:
         failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
         assert len(failed) == 1 and "free_spreading_variance" in failed[0]
 
+    def test_inverse_transport_weight_fails_the_tilted_expectation_row(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # alpha negated on every batch weights <y> by e^{-alpha}; alpha(x_ref) is 0 either way
+        rows = valuefield.field.AnalyticField._alpha_rows
+        monkeypatch.setattr(valuefield.field.AnalyticField, "_alpha_rows",
+                            lambda self, r: -rows(self, r))
+        cfg = write_config(tmp_path, "schrodinger")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1 and "position_expectation_alpha_ky" in failed[0]
+
     @pytest.mark.parametrize("mutate, row", [
         (lambda mp: mp.setitem(cosmology._SEGMENT_SLOPES, "radiation", 0.55),
          "radiation_friedmann_rel_residual"),

@@ -670,7 +670,10 @@ def test_list_point_errors_equal_array_point_errors(fld):
     lo, hi = BOX
     mid = (lo + 0.5 * (hi - lo)).tolist()
     bad = [mid[:3], mid + [0.5], [math.nan, *mid[1:]], [*mid[:2], math.inf, mid[3]],
-           [*mid[:3], -math.inf]]
+           [*mid[:3], -math.inf],
+           # a NumPy float, a bool, and either in a list of 3 or 5
+           [*mid[:3], np.float64(math.nan)], [np.float64(mid[0]), *mid[1:3]],
+           [*mid, False]]
     if fld.domain is not None:  # one ulp outside each finite wall
         for k in range(4):
             for wall, away in zip(fld.domain, (-np.inf, np.inf)):
@@ -684,9 +687,11 @@ def test_list_point_errors_equal_array_point_errors(fld):
 
 @pytest.mark.parametrize("fld", LIST_FIELDS.values(), ids=LIST_FIELDS.keys())
 def test_list_point_of_ints_equals_its_float_array(fld):
-    # ints, and floats mixed with ints or NumPy scalars, convert as np.asarray does
+    # ints, and floats mixed with ints, NumPy floats or bools, convert as np.asarray does
     points = [[0, -1, 1, 0], [1, -1, 3, 1], [0.5, -1, 2, np.float64(0.75)], [0, 0, 0, 0],
-              [2, -1, 1, 0]]  # the last two lie outside BOX on some axis
+              [2, -1, 1, 0],  # these two lie outside BOX on some axis
+              [0.5, -1.0, 2.0, np.float64(0.75)], [True, -1.0, 2.0, 0.75],
+              [0.5, -1.0, 2.0], [0.5, -1.0, 2.0, 0.75, 0.5]]
     for x in points:
         p = np.array(x, dtype=float)
         for call in (fld.alpha, fld.gradient):
@@ -706,9 +711,12 @@ def test_one_point_hooks_get_the_point_as_a_list_of_floats():
             return super()._point_gradient(x)
 
     fld = Recording(0.1)
-    for p in ([0.5, 1, 2, 3], np.array([0.5, 1, 2, 3]), [0.5, 1.0, 2.0, 3.0]):
+    # np.float64 subclasses float and bool subclasses int: both take np.asarray
+    for p in ([0.5, 1, 2, 3], np.array([0.5, 1, 2, 3]), [0.5, 1.0, 2.0, 3.0],
+              [0.5, 1.0, 2.0, np.float64(3.0)], [0.5, True, 2.0, 3.0]):
         fld.alpha(p)
         fld.gradient(p)
-    assert len(seen) == 6
+    assert len(seen) == 10
     for x in seen:
         assert type(x) is list and [type(v) for v in x] == [float] * 4 and x == [0.5, 1, 2, 3]
+
