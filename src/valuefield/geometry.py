@@ -30,21 +30,6 @@ from .field import AlphaField, _as_point, transport_factor
 ETA = np.array([-1.0, 1.0, 1.0, 1.0])  # its own inverse: used as eta and etainv
 
 
-@dataclass(frozen=True)
-class MetricDiag:
-    """Diagonal of a (-,+,+,+) metric times a common positive factor."""
-
-    diag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        if d.shape != (4,):
-            raise ValueError("metric diagonal must have 4 entries")
-        if not (d[0] < 0 < min(d[1:])):
-            raise ValueError(f"metric diagonal must be (-,+,+,+), got {d}")
-        object.__setattr__(self, "diag", d)
-
-
 @dataclass
 class GeodesicState:
     """Position p (t, x, y, z) and 4-velocity u = dp/dtau (m/s, u0 = c dt/dtau)."""
@@ -55,8 +40,8 @@ class GeodesicState:
     def __post_init__(self):
         self.p = _as_point(self.p)
         self.u = np.asarray(self.u, dtype=float)
-        if self.u.shape != (4,):
-            raise ValueError("4-velocity must have shape (4,)")
+        if self.u.shape != (4,) or not np.all(np.isfinite(self.u)):
+            raise ValueError(f"4-velocity must be 4 finite components, got {self.u!r}")
 
 
 @dataclass(frozen=True)
@@ -85,24 +70,18 @@ class ParticleSpec:
         return self.m * self.c ** 2
 
 
-def a_per_meter(field: AlphaField, p, c: float) -> np.ndarray:
-    """Gradient of alpha with the temporal component converted to 1/m."""
-    g = field.gradient(p)
-    return np.array([g[0] / c, g[1], g[2], g[3]])
-
-
-def metric_at(field: AlphaField, x_ref, y) -> MetricDiag:
-    """Flat metric parallel-transported to the reference point x_ref."""
-    return MetricDiag(transport_factor(field, x_ref, y) * ETA)
-
-
-def eta_norm(u) -> float:
-    """eta_{mu mu} u^mu u^mu; -c^2 for a normalized massive 4-velocity."""
-    return _eta_uu(np.asarray(u, dtype=float).tolist())
+def metric_at(field: AlphaField, x_ref, y) -> np.ndarray:
+    """Diagonal of the flat metric parallel-transported to the reference point
+    x_ref; a factor that is not finite and positive (an underflow to 0, say)
+    has no (-,+,+,+) signature and is refused."""
+    factor = transport_factor(field, x_ref, y)
+    require_finite_positive("transport factor", factor)
+    return factor * ETA
 
 
 def _eta_uu(u: list) -> float:
-    """eta_norm on four floats, summed left to right."""
+    """eta(u, u) on four floats, summed left to right; -c^2 for a normalized
+    massive 4-velocity."""
     u0, u1, u2, u3 = u
     return ((-(u0 * u0) + u1 * u1) + u2 * u2) + u3 * u3
 
@@ -117,7 +96,7 @@ def _geodesic_dy(field: AlphaField, c: float, y: list) -> list:
     """The geodesic equation on floats: d/dtau of the state y, the eight
     floats (t, x, y, z, u0, u1, u2, u3), with dt/dtau = u0 / c."""
     g0, a1, a2, a3 = field.gradient(y[:4]).tolist()
-    a0 = g0 / c  # the per-meter temporal component, as in a_per_meter
+    a0 = g0 / c  # per-meter temporal component, by the unit convention above
     u0, u1, u2, u3 = y[4:]
     m = -(((a0 * u0 + a1 * u1) + a2 * u2) + a3 * u3)  # -(A . u)
     q2 = -(((-(u0 * u0) + u1 * u1) + u2 * u2) + u3 * u3)  # c^2 massive, 0 null
@@ -208,28 +187,18 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
 
 
 def coordinate_time_rhs(field: AlphaField, p, dpds, gamma: float,
-                        particle: ParticleSpec) -> np.ndarray:
+                        particle: ParticleSpec) -> list:
     """d/ds of (gamma * dp^mu/ds), the coordinate-time form of the geodesic
-    equation: -A_nu gamma dpds^nu dpds^mu + (1/2) etainv_mu A_mu c^2 / gamma."""
-    dpds = np.asarray(dpds, dtype=float).tolist()
-    return np.array(_coordinate_dw(field, p, dpds, gamma, particle))
-
-
-def _require_gamma(gamma: float, p) -> None:
+    equation: -A_nu gamma dpds^nu dpds^mu + (1/2) etainv_mu A_mu c^2 / gamma,
+    as four floats from the four numbers dpds. A gamma that is not finite and
+    at least 1 raises ``InvalidEnergy``."""
     if not 1.0 <= gamma < math.inf:  # NaN fails too
         raise InvalidEnergy(f"gamma = {gamma!r} is not finite and at least 1 at coordinate "
                             f"time t = {float(p[0])!r}: below 1 the particle cannot climb "
                             "the field")
-
-
-def _coordinate_dw(field: AlphaField, p, dpds: list, gamma: float,
-                   particle: ParticleSpec) -> list:
-    """The coordinate-time equation on floats: four d(gamma dp/ds)/ds from the
-    four floats dpds."""
-    _require_gamma(gamma, p)
     c = particle.c
     g0, a1, a2, a3 = field.gradient(p).tolist()
-    a0 = g0 / c  # the per-meter temporal component, as in a_per_meter
+    a0 = g0 / c  # per-meter temporal component, by the unit convention above
     d0, d1, d2, d3 = dpds
     m = -(((a0 * d0 + a1 * d1) + a2 * d2) + a3 * d3) * gamma  # -(A . dpds) gamma
     c2 = c ** 2
@@ -237,28 +206,15 @@ def _coordinate_dw(field: AlphaField, p, dpds: list, gamma: float,
             m * d2 + 0.5 * a2 * c2 / gamma, m * d3 + 0.5 * a3 * c2 / gamma]
 
 
-def gamma_rate(field: AlphaField, p, dpds, gamma: float, c: float) -> float:
-    """d gamma/ds for a free particle; contains no mass, so the fractional
-    energy change is identical for any rest mass at the same kinematic state.
-
-    Derived from the mu = 0 coordinate-time equation with dp0/ds = c, which
-    carries the inverse-metric factor etainv_00 = -1 on the gradient source
-    term, consistent with :func:`coordinate_time_rhs`. A gamma that is not
-    finite and at least 1 raises ``InvalidEnergy``, as there.
-    """
-    _require_gamma(gamma, p)
-    a = a_per_meter(field, p, c)
-    dpds = np.asarray(dpds, dtype=float)
-    return 0.5 * ETA[0] * a[0] * c / gamma - float(a @ dpds) * gamma
-
-
 def energy_rate(field: AlphaField, p, dpds, energy: float, particle: ParticleSpec) -> float:
-    """dE/ds for a free particle of total energy E = gamma m c^2."""
+    """dE/ds for a free particle of total energy E = gamma m c^2: the rest
+    energy times d gamma/ds, the mu = 0 coordinate-time equation over c
+    (dp0/ds = c). d gamma/ds holds no mass, so the fractional energy change is
+    the same for any rest mass at the same kinematic state."""
     rest = particle.rest_energy
     if not rest <= energy < math.inf:  # NaN fails too
         raise InvalidEnergy(f"E = {energy} must be finite and at least the rest energy {rest}")
-    gamma = energy / rest
-    return rest * gamma_rate(field, p, dpds, gamma, particle.c)
+    return rest * (coordinate_time_rhs(field, p, dpds, energy / rest, particle)[0] / particle.c)
 
 
 @dataclass
@@ -270,9 +226,6 @@ class CoordinateTrajectory:
     v: np.ndarray
     gamma: np.ndarray
 
-    def energy(self, particle: ParticleSpec) -> np.ndarray:
-        return self.gamma * particle.rest_energy
-
 
 def integrate_coordinate(field: AlphaField, p0, v0, particle: ParticleSpec,
                          cfg: IntegratorConfig) -> CoordinateTrajectory:
@@ -281,8 +234,10 @@ def integrate_coordinate(field: AlphaField, p0, v0, particle: ParticleSpec,
     c = particle.c
     p0 = _as_point(p0)
     v0 = np.asarray(v0, dtype=float)
+    if v0.shape != (3,) or not np.all(np.isfinite(v0)):
+        raise ValueError(f"initial velocity must be 3 finite components, got {v0!r}")
     speed2 = float(v0 @ v0)
-    if speed2 >= c ** 2:
+    if not speed2 < c ** 2:  # NaN fails too
         raise ValueError("initial speed must be below c")
     gamma0 = 1.0 / np.sqrt(1.0 - speed2 / c ** 2)
     t0 = float(p0[0])
@@ -292,7 +247,8 @@ def integrate_coordinate(field: AlphaField, p0, v0, particle: ParticleSpec,
         gamma = w0 / c
         v1, v2, v3 = w1 / gamma, w2 / gamma, w3 / gamma
         return [1.0, v1, v2, v3,
-                *_coordinate_dw(field, [t0 + s, x1, x2, x3], [c, v1, v2, v3], gamma, particle)]
+                *coordinate_time_rhs(field, [t0 + s, x1, x2, x3], [c, v1, v2, v3], gamma,
+                                    particle)]
 
     y0 = np.concatenate([[0.0], p0[1:], gamma0 * np.array([c, *v0])])
     # nothing is monitored: a drift of 0.0 accepts every step at full size

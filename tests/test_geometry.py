@@ -12,11 +12,8 @@ from valuefield.geometry import (
     GeodesicState,
     IntegratorConfig,
     ParticleSpec,
-    a_per_meter,
     coordinate_time_rhs,
     energy_rate,
-    eta_norm,
-    gamma_rate,
     geodesic_rhs,
     integrate_coordinate,
     integrate_geodesic,
@@ -60,6 +57,19 @@ class DelegatingField(AlphaField):
 
     def gradient(self, p):
         return self._inner.gradient(p)
+
+
+def a_per_meter(field, p, c):
+    """Reference: the gradient of alpha with its temporal component in 1/m."""
+    g = field.gradient(p)
+    return np.array([g[0] / c, g[1], g[2], g[3]])
+
+
+def eta_norm(u):
+    """Reference: eta(u, u), summed left to right; -c^2 for a normalized
+    massive 4-velocity."""
+    u0, u1, u2, u3 = np.asarray(u, dtype=float).tolist()
+    return ((-(u0 * u0) + u1 * u1) + u2 * u2) + u3 * u3
 
 
 def assert_same_trajectory(a, b):
@@ -113,25 +123,52 @@ class TestParticleSpec:
 class TestMetric:
     def test_constant_alpha_gives_eta(self):
         m = metric_at(ConstantField(0.9), spacetime_point(), spacetime_point(1, 2, 3, 4))
-        assert np.array_equal(m.diag, [-1.0, 1.0, 1.0, 1.0])
+        assert np.array_equal(m, [-1.0, 1.0, 1.0, 1.0])
 
     def test_log2_offset_doubles(self):
         fld = AnalyticField(lambda p: math.log(2.0) * p[1])
         m = metric_at(fld, spacetime_point(0, 0), spacetime_point(0, 1))
-        assert np.allclose(m.diag, [-2.0, 2.0, 2.0, 2.0], rtol=1e-14)
+        assert np.allclose(m, [-2.0, 2.0, 2.0, 2.0], rtol=1e-14)
 
     def test_reference_equals_point(self):
         p = spacetime_point(1, 2, 3, 4)
         m = metric_at(space_field(0.3), p, p)
-        assert np.array_equal(m.diag, [-1.0, 1.0, 1.0, 1.0])
+        assert np.array_equal(m, [-1.0, 1.0, 1.0, 1.0])
 
     def test_signature_enforced(self):
-        from valuefield.geometry import MetricDiag
-        with pytest.raises(ValueError):
-            MetricDiag(np.array([1.0, 1.0, 1.0, 1.0]))
+        # e^{-1000} underflows to 0: an all-zero diagonal has no (-,+,+,+) signature
+        with pytest.raises(ValueError, match="^transport factor must be finite and positive"):
+            metric_at(space_field(-1000.0), spacetime_point(), spacetime_point(0, 1))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the source term of geodesic_rhs "
+                       "has the opposite sign to the Levi-Civita geodesic of metric_at")
+    def test_geodesic_rhs_is_the_levi_civita_geodesic_of_metric_at(self):
+        fld, x_ref, c = wave_field(), spacetime_point(), C_DESK
+        p = spacetime_point(0.1, 0.2, -0.3, 0.4)
+        u = np.array([1.2 * c, 0.9, -0.6, 0.5])
+        assert np.all(fld.gradient(p) != 0)
+
+        def g(x):  # the metric diagonal at x = (c t, x, y, z)
+            return metric_at(fld, x_ref, np.array([x[0] / c, *x[1:]]))
+
+        # dg[s, i, j] = d_s g_ij by central differences
+        x, h = np.array([c * p[0], *p[1:]]), 1e-5
+        dg = np.array([np.diag((g(x + h * e) - g(x - h * e)) / (2 * h)) for e in np.eye(4)])
+        # Gamma^m_ab = (d_a g_mb + d_b g_ma - d_m g_ab) / (2 g_mm)
+        christoffel = ((dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
+                       / (2 * g(x))[:, None, None])
+        want = -np.einsum("mab,a,b->m", christoffel, u, u)
+        got = geodesic_rhs(fld, GeodesicState(p, u), c)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 class TestGeodesicRhs:
+    @pytest.mark.parametrize("u", [[math.nan, 0, 0, 0], [C_DESK, math.inf, 0, 0],
+                                   [C_DESK, 0, 0]], ids=["u0=nan", "u1=inf", "shape=3"])
+    def test_bad_four_velocity_is_refused_at_entry(self, u):
+        with pytest.raises(ValueError, match="^4-velocity must be 4 finite components"):
+            GeodesicState(spacetime_point(), u)
+
     def test_agrees_with_the_array_formula(self):
         fld = wave_field()
         st = GeodesicState(spacetime_point(0.1, 0.2, -0.3, 0.4),
@@ -362,14 +399,14 @@ class TestCoordinateTime:
         a = a_per_meter(fld, p, C_DESK)
         assert np.all(a != 0)
         want = -(a @ dpds) * gamma * dpds + 0.5 * ETA * a * C_DESK ** 2 / gamma
-        got = coordinate_time_rhs(fld, p, dpds, gamma, ParticleSpec(1.0, C_DESK))
+        got = np.array(coordinate_time_rhs(fld, p, dpds, gamma, ParticleSpec(1.0, C_DESK)))
         assert got.shape == (4,) and np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_gradient_free_momentum_conserved(self):
         out = coordinate_time_rhs(ConstantField(0.3), spacetime_point(),
                                   np.array([C_DESK, 0.5, 0, 0]), 1.2,
                                   ParticleSpec(1.0, C_DESK))
-        assert np.array_equal(out, np.zeros(4))
+        assert np.array_equal(np.array(out), np.zeros(4))
 
     def test_rest_source_term(self):
         # with every velocity component zero only the gradient source survives
@@ -429,6 +466,13 @@ class TestCoordinateTime:
             assert np.array_equal(tr.p[0], p0) and np.array_equal(tr.v[0], v0)
             assert tr.gamma[0] == gamma0
 
+    @pytest.mark.parametrize("v0", [[math.nan, 0, 0], [0.5, math.inf, 0], [0.5, 0]],
+                             ids=["v1=nan", "v2=inf", "shape=2"])
+    def test_bad_initial_velocity_is_refused_at_entry(self, v0):
+        with pytest.raises(ValueError, match="^initial velocity must be 3 finite components"):
+            integrate_coordinate(ConstantField(0.0), spacetime_point(), v0,
+                                 ParticleSpec(1.0, C_DESK), IntegratorConfig(step=0.1, span=1.0))
+
     def test_leaves_domain(self):
         dom = (spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))
         fld = AnalyticField(lambda p: 0.0, lambda p: np.zeros(4), domain=dom)
@@ -454,17 +498,14 @@ class TestEnergyRate:
         r2 = energy_rate(fld, spacetime_point(), dpds, e2, m2) / m2.rest_energy
         assert r1 == r2  # bitwise
 
-    def test_gamma_rate_has_no_mass_argument(self):
+    def test_rest_particle_gamma_rate_has_no_mass(self):
+        # d gamma/ds = dE/ds / (m c^2), the same for m = 1 and m = 3
         fld = time_field(-2e-5 * C_DESK)
-        out = gamma_rate(fld, spacetime_point(), np.array([C_DESK, 0, 0, 0]), 1.0, C_DESK)
         a0 = -2e-5
-        assert out == pytest.approx(-1.5 * a0 * C_DESK, rel=1e-12)
-
-    @pytest.mark.parametrize("gamma", [math.nan, 0.5, math.inf])
-    def test_gamma_rate_refuses_gamma_not_finite_and_at_least_one(self, gamma):
-        fld = TimeOnlyField(lambda t: 1e-2 * t, lambda t: 1e-2)
-        with pytest.raises(InvalidEnergy, match=f"gamma = {gamma!r}"):
-            gamma_rate(fld, spacetime_point(), np.array([C_DESK, 0, 0, 0]), gamma, C_DESK)
+        for part in (ParticleSpec(1.0, C_DESK), ParticleSpec(3.0, C_DESK)):
+            out = energy_rate(fld, spacetime_point(), np.array([C_DESK, 0, 0, 0]),
+                              part.rest_energy, part) / part.rest_energy
+            assert out == pytest.approx(-1.5 * a0 * C_DESK, rel=1e-12)
 
     def test_formula_matches_integrator_derivative(self):
         # independent oracle: finite-difference E(s) from the coordinate-time
@@ -474,7 +515,7 @@ class TestEnergyRate:
         part = ParticleSpec(1.0, C_DESK)
         traj = integrate_coordinate(fld, spacetime_point(), np.zeros(3), part,
                                     IntegratorConfig(step=1e-3, span=0.01))
-        energy = traj.energy(part)
+        energy = traj.gamma * part.rest_energy
         fd = (energy[2] - energy[0]) / (traj.s[2] - traj.s[0])
         formula = energy_rate(fld, traj.p[1], np.array([C_DESK, *traj.v[1]]),
                               energy[1], part)
