@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except (ValueFieldError, ValueError, ArithmeticError) as exc:
+    except (ValueFieldError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

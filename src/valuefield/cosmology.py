@@ -90,6 +90,11 @@ class Segment:
     alpha_ref: float = 0.0
     rate: float = 0.0
 
+    def __post_init__(self):
+        if self.kind != "linear" and self.kind not in _SEGMENT_SLOPES:
+            raise ValueError(f"segment kind must be 'radiation', 'matter' or 'linear', "
+                             f"got {self.kind!r}")
+
     def alpha(self, s: float) -> float:
         if self.kind == "linear":
             return self.alpha_ref + self.rate * (self.s_ref - s)

@@ -369,44 +369,32 @@ class TimeOnlyField(AnalyticField):
 
 
 def transport_factor(field: AlphaField, x, y) -> float:
-    """Multiplier applied to a value moved from y to x: e^{-alpha(x)+alpha(y)}."""
+    """Multiplier applied to a value moved from y to x: e^{-alpha(x)+alpha(y)}.
+    The value q at y, re-expressed at x, is q times this factor; that holds for
+    dot products and trigonometric values just as for plain numbers."""
     return math.exp(field.alpha(y) - field.alpha(x))
 
 
-def transport_scalar(field: AlphaField, x, y, q) -> float:
-    """The value q at y, re-expressed at x. Applies to dot products and
-    trigonometric values just as to plain numbers."""
-    return q * transport_factor(field, x, y)
+def _quad_nodes(lo: float, hi: float, n: int):
+    if n < 2 or n % 2:
+        raise ValueError(f"simpson needs a positive even number of panels, got {n}")
+    ys = np.linspace(lo, hi, n + 1)
+    h = (hi - lo) / n
+    w = np.full(n + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return ys, w * (h / 3.0)
 
 
-def _quad_nodes(lo: float, hi: float, n: int, method: str):
-    if n < 2:
-        raise ValueError("need at least 2 panels")
-    if method == "simpson":
-        if n % 2:
-            raise ValueError("simpson needs an even number of panels")
-        ys = np.linspace(lo, hi, n + 1)
-        h = (hi - lo) / n
-        w = np.full(n + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return ys, w * (h / 3.0)
-    if method == "midpoint":
-        h = (hi - lo) / n
-        ys = lo + h * (np.arange(n) + 0.5)
-        return ys, np.full(n, h)
-    raise ValueError(f"unknown quadrature method {method!r}")
-
-
-def _tensor_quadrature(f, field: AlphaField, x_ref, axes, lo, hi, n, method) -> float:
+def _tensor_quadrature(f, field: AlphaField, x_ref, axes, lo, hi, n) -> float:
     """e^{-alpha(x_ref)} * sum of w e^{alpha} f over the tensor product of the 1-D
-    rules on ``axes`` through x_ref, with one field call for x_ref and every node."""
+    Simpson rules on ``axes`` through x_ref, one field call for x_ref and all nodes."""
     try:
         n = operator.index(n)  # a Python or NumPy int, not a float
     except TypeError:
         raise ValueError(f"number of panels must be an integer, got {n!r}") from None
     x_ref = _as_point(x_ref)
-    rules = [_quad_nodes(float(a), float(b), n, method) for a, b in zip(lo, hi)]
+    rules = [_quad_nodes(float(a), float(b), n) for a, b in zip(lo, hi)]
     coords = np.stack(np.meshgrid(*(ys for ys, _ in rules), indexing="ij"),
                       axis=-1).reshape(-1, len(axes))
     weights = functools.reduce(np.multiply.outer, (w for _, w in rules)).ravel()
@@ -422,8 +410,7 @@ def _tensor_quadrature(f, field: AlphaField, x_ref, axes, lo, hi, n, method) -> 
     return math.exp(-alpha[0]) * float(np.sum(weights * g))
 
 
-def scaled_integral(f, field: AlphaField, x_ref, lo, hi, n=256,
-                    method="simpson", axis=1) -> float:
+def scaled_integral(f, field: AlphaField, x_ref, lo, hi, n=256, axis=1) -> float:
     """Transport-corrected line integral along one coordinate axis.
 
     Approximates e^{-alpha(x_ref)} * int e^{alpha(y)} f(y) dy, where the
@@ -431,22 +418,21 @@ def scaled_integral(f, field: AlphaField, x_ref, lo, hi, n=256,
     scalar coordinate. The field weight is evaluated at every quadrature
     node, not at panel centers of f alone.
     """
-    return _tensor_quadrature(lambda q: f(q[0]), field, x_ref, [axis], [lo], [hi], n, method)
+    return _tensor_quadrature(lambda q: f(q[0]), field, x_ref, [axis], [lo], [hi], n)
 
 
-def scaled_integral_3d(f, field: AlphaField, x_ref, lo, hi, n=32,
-                       method="simpson") -> float:
+def scaled_integral_3d(f, field: AlphaField, x_ref, lo, hi, n=32) -> float:
     """Transport-corrected volume integral over a spatial box at fixed time:
     the three-axis case of :func:`scaled_integral`.
 
     ``lo``/``hi`` are 3-vectors over axes (x, y, z); the time slice is x_ref's
     time; f takes a 3-vector.
     """
-    return _tensor_quadrature(f, field, x_ref, [1, 2, 3], lo, hi, n, method)
+    return _tensor_quadrature(f, field, x_ref, [1, 2, 3], lo, hi, n)
 
 
-def covariant_derivative(f, field: AlphaField, y, mu: int, coupling: float = 1.0) -> float:
-    """Transport-corrected derivative: d_mu f + coupling * A_mu(y) * f(y).
+def covariant_derivative(f, field: AlphaField, y, mu: int) -> float:
+    """Transport-corrected derivative: d_mu f + A_mu(y) * f(y).
 
     The partial derivative is a central difference with the field's own
     finite-difference step. The kernel identity D(e^{-alpha}) = 0 holds
@@ -458,5 +444,5 @@ def covariant_derivative(f, field: AlphaField, y, mu: int, coupling: float = 1.0
     e[mu] = h
     dfd = (f(y + e) - f(y - e)) / (2 * h)
     a_mu = field.gradient(y)[mu]
-    return dfd + coupling * a_mu * f(y)
+    return dfd + a_mu * f(y)
 

@@ -28,6 +28,7 @@ from .errors import (InvalidEnergy, LeftDomain, OutOfDomain, StepUnstable,
 from .field import AlphaField, _as_point, transport_factor
 
 ETA = np.array([-1.0, 1.0, 1.0, 1.0])  # its own inverse: used as eta and etainv
+_MAX_HALVINGS = 10  # levels of step halving before a step is refused
 
 
 @dataclass
@@ -49,7 +50,6 @@ class IntegratorConfig:
     step: float
     span: float
     norm_check_tol: float = 1e-6
-    max_halvings: int = 10
 
     def __post_init__(self):
         require_finite_positive("step", self.step)
@@ -119,7 +119,7 @@ def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
     """Fixed-step RK4 states y[0..n] over cfg.span and the largest accepted
     drift. ``monitor(y0)`` returns ``drift(y)``; a step whose drift is not
     <= cfg.norm_check_tol (NaN included) is retried as two half steps, up to
-    cfg.max_halvings levels deep, and reports the drift of its last half.
+    _MAX_HALVINGS levels deep, and reports the drift of its last half.
 
     The state, the stages and their sums are lists of Python floats: ``rhs``
     and ``drift`` take such a list and ``rhs`` returns one. Float overflow
@@ -137,7 +137,7 @@ def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
             raise StepUnstable(f"non-finite state during {what} step")
         d = drift(ynew)
         if not (d <= cfg.norm_check_tol):  # NaN drift fails too
-            if depth >= cfg.max_halvings:
+            if depth >= _MAX_HALVINGS:
                 raise StepUnstable(f"conservation drift {d:.3e} exceeds tolerance "
                                    f"{cfg.norm_check_tol:.3e} at minimum step")
             y, _ = advance(y, h / 2, depth + 1)
@@ -165,7 +165,7 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
     The monitored quantity is e^{3(alpha(p)-alpha(p0))} * eta(u, u), which the
     evolution equation keeps constant (it reduces to the plain eta-norm check
     when alpha is constant). A step that moves it by more than norm_check_tol
-    relative is retried at half the step, up to max_halvings levels deep.
+    relative is retried at half the step, up to _MAX_HALVINGS levels deep.
     """
     require_finite_positive("c", c)
 

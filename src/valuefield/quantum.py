@@ -178,39 +178,32 @@ def _check_lapack(name: str, info: int) -> None:
 
 
 def schrodinger_step(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,
-                     dt: float, _cn: _CrankNicolson | None = None) -> WaveFunction1D:
-    """Advance one step of i hbar (d/dt + A(t)) psi = H psi.
-
-    Given the cached substep ``_cn`` (built for this ``dt``), ``psi.psi`` is
-    already in ``_cn``'s basis (Fourier amplitudes for spectral, see
-    :meth:`_CrankNicolson.into`) and the result stays in it. Without ``_cn``
-    the step takes and returns position amplitudes.
-    """
-    require_finite_positive("dt", dt)
-    cn = _cn if _cn is not None else _CrankNicolson(psi.psi.size, psi.dy, ham, dt)
-    state = psi if _cn is not None else cn.into(psi)
+                     dt: float, cn: _CrankNicolson) -> WaveFunction1D:
+    """One step of i hbar (d/dt + A(t)) psi = H psi with the substep ``cn``
+    built from ``ham`` and ``dt``, in ``cn``'s basis (Fourier amplitudes for
+    spectral, see :meth:`_CrankNicolson.into`) on the way in and out."""
     damping = math.exp(-scaling.damping_exponent(psi.t, psi.t + dt))
-    out = damping * cn.apply(state.psi)
+    out = damping * cn.apply(psi.psi)
     if not np.isfinite(out.view(float)).all():
         raise StepUnstable("non-finite amplitudes after step")
-    state = state._replaced(out, psi.t + dt)
-    return state if _cn is not None else cn.position(state)
+    return psi._replaced(out, psi.t + dt)
 
 
 def evolve(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,
            dt: float, n_steps: int, observer: Callable | None = None,
            every: int = 1) -> WaveFunction1D:
-    """Run n_steps of :func:`schrodinger_step`, reusing the cached substep.
+    """Run n_steps of :func:`schrodinger_step`, reusing one cached substep.
 
     The state stays in the substep's basis between observations. For the
     spectral Hamiltonian that is Fourier space: one FFT at the start and one
     inverse FFT per observed state and for the returned one, instead of two
-    FFTs per step. Each step still goes through :func:`schrodinger_step`.
+    FFTs per step. Each step goes through :func:`schrodinger_step`.
 
     ``observer(step_index, psi)`` is called after every ``every``-th step
     (step_index = every, 2 every, ...), with ``psi`` in position space.
     ``n_steps == 0`` returns ``psi`` itself.
     """
+    require_finite_positive("dt", dt)
     if every < 1:
         raise ValueError(f"every must be a positive step count, got {every!r}")
     if n_steps <= 0:
@@ -218,7 +211,7 @@ def evolve(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,
     cn = _CrankNicolson(psi.psi.size, psi.dy, ham, dt)
     state = cn.into(psi)
     for i in range(1, n_steps + 1):
-        state = schrodinger_step(state, ham, scaling, dt, _cn=cn)
+        state = schrodinger_step(state, ham, scaling, dt, cn)
         if observer is not None and i % every == 0:
             observer(i, cn.position(state))
     return cn.position(state)

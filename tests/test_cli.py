@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import math
 import os
 import subprocess
 import sys
@@ -195,6 +196,34 @@ class TestExitCodes:
         if code == 3:
             assert captured.err.startswith("run error: OverflowError: ")
             assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario, override", [
+        ("geodesic", "geodesic.steps=1000000000000000"),
+        ("schrodinger", "schrodinger.n=2000000000000000"),
+    ])
+    def test_count_too_large_for_memory_is_a_run_error(self, tmp_path, capsys,
+                                                       scenario, override):
+        # arrays of petabytes, past the address space: the allocation fails at once
+        cfg = write_config(tmp_path, scenario)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                     "--set", override]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run error: ") and "MemoryError: " in err
+        assert err.count("\n") == 1
+
+    def test_geodesic_at_rest_runs(self, tmp_path):
+        # beta = 0 is inside the parameter's range; the straight-line deviation
+        # must not be scaled by the zero distance travelled
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "geodesic", {"beta": "0"})
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        for name in ("report.csv", "geodesic_trajectory.csv"):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+            assert rows
+            for row in rows:
+                assert all(math.isfinite(float(cell)) for column, cell in row.items()
+                           if column not in {"name", "pass"}), row
 
     @pytest.mark.parametrize("scenario, override, error", [
         ("schrodinger", "schrodinger.dt=1e6", "NotNormalized"),  # the damped norm vanishes

@@ -340,6 +340,10 @@ class TestEraOde:
 
 
 class TestSegment:
+    def test_unknown_kind_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="segment kind must be"):
+            Segment(0.0, 10.0, "dust", s_ref=10.0)
+
     def test_anchor_identity(self):
         rate = vacuum_rate(CosmologyParams())
         for kind in ("matter", "radiation", "linear"):

@@ -15,7 +15,6 @@ from valuefield.quantum import (
     evolve,
     gaussian_packet,
     position_expectation,
-    schrodinger_step,
 )
 from valuefield.scenarios import run_scenario
 
@@ -107,7 +106,7 @@ class TestEvolution:
         # RuntimeWarnings are errors in this suite, so a NaN operator fails here too
         psi = gaussian_packet(grid(n=16, half_width=2.0))
         with pytest.raises(ValueError, match="^dt must be finite and positive"):
-            schrodinger_step(psi, HamiltonianSpec(), TimeScaling.zero(), dt)
+            evolve(psi, HamiltonianSpec(), TimeScaling.zero(), dt, 1)
 
     def test_zero_scaling_is_unitary(self):
         psi = gaussian_packet(grid(), sigma=1.0)
@@ -138,7 +137,7 @@ class TestEvolution:
         y = grid(n=n, half_width=2.0)
         psi = WaveFunction1D(y, np.full(n, 0.5 + 0.0j))
         ham = HamiltonianSpec("spectral")
-        out = schrodinger_step(psi, ham, TimeScaling.constant(0.4), dt=0.25)
+        out = evolve(psi, ham, TimeScaling.constant(0.4), 0.25, 1)
         expected = 0.5 * math.exp(-0.4 * 0.25)
         assert np.allclose(out.psi, expected, rtol=1e-13, atol=1e-15)
 
@@ -260,7 +259,7 @@ class TestSubstepBasis:
         scaling = SCALINGS["varying"]
         psi = self.packet()
         (t, want), = reference_steps(psi, ham, scaling, self.DT, 1)
-        out = schrodinger_step(psi, ham, scaling, self.DT)
+        out = evolve(psi, ham, scaling, self.DT, 1)
         assert out.t == t
         if kind == "fd":
             assert np.array_equal(bits(out.psi), bits(want))
@@ -288,7 +287,7 @@ class TestSubstepBasis:
         step, substeps = quantum.schrodinger_step, []
 
         def counting(*args, **kwargs):
-            substeps.append(kwargs["_cn"])
+            substeps.append(args[4])
             return step(*args, **kwargs)
 
         monkeypatch.setattr(quantum, "schrodinger_step", counting)
@@ -332,8 +331,8 @@ def effective_energy(rate, hbar, dt=1e17):
     amplitudes come back times e^{-i E dt / hbar} e^{-A dt}."""
     n = 64
     psi = WaveFunction1D(grid(n=n, half_width=2.0), np.full(n, 0.5 + 0.0j))
-    out = schrodinger_step(psi, HamiltonianSpec("spectral", hbar=hbar),
-                           TimeScaling.constant(rate), dt)
+    out = evolve(psi, HamiltonianSpec("spectral", hbar=hbar), TimeScaling.constant(rate),
+                 dt, 1)
     log = np.log(out.psi / psi.psi)
     return hbar * (-log.imag - 1j * log.real) / dt
 
