@@ -4,12 +4,14 @@ Floats (NumPy's included) are written as the shortest text that reads back
 to the same double, booleans as ``true``/``false``; any other cell (int,
 Fraction, str) keeps the csv module's ``str``. Rows are consumed one at a
 time, so a generator never materializes the whole table. A 2-D float64
-array skips the csv module: a column whose values all have one bit pattern
-(compared as int64, so 0.0 and -0.0 differ) is ``repr``'d once into a row
-template, the varying columns are ``repr``'d per row into it, and each row
-ends with csv's line terminator. csv writes a float as its ``repr`` and
-never quotes one, so the bytes are the same. Rows stream in blocks of
-``_BLOCK``, one ``write`` a block, so the text of a whole table is never
+array skips the csv module and is formatted column by column, ``_BLOCK``
+rows at a time: a column whose values in the table all have one bit
+pattern (compared as int64, so 0.0 and -0.0 differ) is ``repr``'d once and
+repeated down the block, a run of such adjacent columns as one text, the
+other columns are ``repr``'d value by value, and the columns are joined
+with ``,`` row by row, each row ending with csv's line terminator. csv
+writes a float as its ``repr`` and never quotes one, so the bytes are the
+same. Each block is one ``write``, so the text of a whole table is never
 held at once. :func:`write_column` writes a float array one value per line,
 the same bytes as a table of one column, in blocks the same way.
 """
@@ -49,19 +51,31 @@ def write_csv(target, header, rows) -> None:
 
 
 def _write_floats(target, rows: np.ndarray) -> None:
-    """The rows of a 2-D float64 array, ``_BLOCK`` rows to one ``write``. A
-    column whose values share one bit pattern (so 0.0 and -0.0 differ) is
-    ``repr``'d once into the row template; the others fill its ``{!r}``s."""
+    """The rows of a 2-D float64 array, ``_BLOCK`` rows to one ``write``,
+    formatted column by column. Each run of adjacent columns whose values
+    share one bit pattern (so 0.0 and -0.0 differ) is ``repr``'d once, as
+    one text, and repeated; the other columns are ``repr``'d per value."""
     if not len(rows):
         return
     bits = rows.view(np.int64)
     constant = (bits == bits[0]).all(axis=0)
-    template = ",".join("{!r}" if not same else repr(v)
-                        for same, v in zip(constant.tolist(), rows[0].tolist())) + _END
+    parts = []  # per varying column None, per run of constant columns its text
+    for same, v in zip(constant.tolist(), rows[0].tolist()):
+        if not same:
+            parts.append(None)
+        elif parts and parts[-1] is not None:
+            parts[-1] += "," + repr(v)
+        else:
+            parts.append(repr(v))
     varying = np.flatnonzero(~constant)
     for start in range(0, len(rows), _BLOCK):
-        block = rows[start:start + _BLOCK, varying].tolist()
-        target.write("".join(itertools.starmap(template.format, block)))
+        block = rows[start:start + _BLOCK]
+        values = iter(block[:, varying].T.tolist())
+        # the repeats are bounded: a table of constant columns only has no
+        # varying column to stop zip
+        cols = [map(repr, next(values)) if part is None else itertools.repeat(part, len(block))
+                for part in parts]
+        target.write(_END.join(map(",".join, zip(*cols))) + _END)
 
 
 def write_column(target, values) -> None:

@@ -110,7 +110,9 @@ class AlphaField:
         a point that fails them gets :func:`_as_point`'s shape or finiteness
         error, or the domain error of :meth:`_require_inside`."""
         x = p if type(p) is list else p.tolist()
-        if len(x) == 4 and all(map(math.isfinite, x)):
+        # a finite sum has no NaN or inf term; a sum that overflows takes the
+        # array checks below, which accept it
+        if len(x) == 4 and math.isfinite(x[0] + x[1] + x[2] + x[3]):
             if self.domain is None:
                 return x
             lo, hi = self.domain
@@ -401,7 +403,9 @@ def _tensor_quadrature(f, field: AlphaField, x_ref, axes, lo, hi, n) -> float:
     points = np.tile(x_ref, (len(coords) + 1, 1))
     points[1:, axes] = coords
     alpha = field.alpha(points)
-    values = np.fromiter(map(f, coords), float, len(coords))
+    # one axis: f takes the node's coordinate itself, a float64, not a (1,) row
+    values = np.fromiter(map(f, coords[:, 0] if len(axes) == 1 else coords),
+                         float, len(coords))
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.exp(alpha[1:]) * values
     bad = ~np.isfinite(g)
@@ -414,11 +418,13 @@ def scaled_integral(f, field: AlphaField, x_ref, lo, hi, n=256, axis=1) -> float
     """Transport-corrected line integral along one coordinate axis.
 
     Approximates e^{-alpha(x_ref)} * int e^{alpha(y)} f(y) dy, where the
-    integration variable runs along ``axis`` through x_ref and f takes the
-    scalar coordinate. The field weight is evaluated at every quadrature
-    node, not at panel centers of f alone.
+    integration variable runs along ``axis`` through x_ref. f is called once
+    per Simpson node, in order from ``lo`` to ``hi``, on the node's scalar
+    coordinate as a NumPy float64 (so a division by zero in f follows
+    NumPy's floating-point error state, not Python's). The field weight is
+    evaluated at every quadrature node, not at panel centers of f alone.
     """
-    return _tensor_quadrature(lambda q: f(q[0]), field, x_ref, [axis], [lo], [hi], n)
+    return _tensor_quadrature(f, field, x_ref, [axis], [lo], [hi], n)
 
 
 def scaled_integral_3d(f, field: AlphaField, x_ref, lo, hi, n=32) -> float:

@@ -64,6 +64,8 @@ class ParticleSpec:
     def __post_init__(self):
         require_finite_positive("m", self.m)
         require_finite_positive("c", self.c)
+        if self.rest_energy == math.inf:  # Python floats overflow without raising
+            raise OverflowError(f"rest energy m c^2 overflows: m = {self.m!r}, c = {self.c!r}")
 
     @property
     def rest_energy(self) -> float:

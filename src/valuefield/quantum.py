@@ -60,7 +60,10 @@ class WaveFunction1D:
         nrm = self.norm_sq()
         if not 0.0 < nrm < math.inf:
             raise NotNormalized(f"cannot normalize: norm^2 = {nrm!r} at t = {self.t!r}")
-        return WaveFunction1D(self.y, self.psi / math.sqrt(nrm), self.t)
+        psi = self.psi / math.sqrt(nrm)
+        if not np.isfinite(psi).all():
+            raise ValueError("amplitudes must be finite")
+        return self._replaced(psi, self.t)  # the same grid, already checked uniform
 
     def probability_density(self) -> np.ndarray:
         return np.abs(self.psi) ** 2
@@ -183,8 +186,9 @@ def schrodinger_step(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeSca
     built from ``ham`` and ``dt``, in ``cn``'s basis (Fourier amplitudes for
     spectral, see :meth:`_CrankNicolson.into`) on the way in and out."""
     damping = math.exp(-scaling.damping_exponent(psi.t, psi.t + dt))
-    out = damping * cn.apply(psi.psi)
-    if not np.isfinite(out.view(float)).all():
+    out = cn.apply(psi.psi)  # a fresh array on both paths, so it is damped in place
+    out *= damping
+    if not np.isfinite(out).all():
         raise StepUnstable("non-finite amplitudes after step")
     return psi._replaced(out, psi.t + dt)
 

@@ -185,6 +185,7 @@ class TestExitCodes:
         ("cosmology", "cosmology.t_now_gyr=2.5e3", 2),  # density e^(4 dalpha) would overflow
         ("cosmology", "cosmology.t_now_gyr=1e7", 2),
         ("cosmology", "cosmology.t_now_gyr=1e300", 2),  # t_now overflows to inf
+        ("geodesic", "geodesic.mass=1e308", 3),  # the rest energy m c^2 overflows to inf
     ])
     def test_bad_input_exit_code_without_traceback(self, tmp_path, capsys,
                                                    scenario, override, code):

@@ -12,6 +12,7 @@ from valuefield.field import (
     ConstantField,
     GridField,
     TimeOnlyField,
+    _quad_nodes,
     covariant_derivative,
     scaled_integral,
     scaled_integral_3d,
@@ -450,6 +451,15 @@ class TestScaledIntegral:
         at_xr = scaled_integral(lambda y: 1.0, fld, spacetime_point(0, 2.0), 0, 1, n=64)
         assert at_xr == pytest.approx(math.exp(-2 * k) * at_zero, rel=1e-13)
 
+    @pytest.mark.parametrize("axis", [0, 1, 3])
+    def test_f_gets_each_node_once_in_order_as_a_float64(self, axis):
+        seen = []
+        scaled_integral(lambda y: seen.append(y) or 1.0, linear_x_field(0.3),
+                        spacetime_point(0.5, 0.25), -1.5, 2.0, n=16, axis=axis)
+        nodes, _ = _quad_nodes(-1.5, 2.0, 16)
+        assert all(type(y) is np.float64 for y in seen)
+        assert np.array_equal(np.array(seen), nodes)
+
     def test_non_finite_integrand(self):
         with pytest.raises(NonFiniteIntegrand):
             scaled_integral(lambda y: float("inf") if y == 0.0 else 1.0,
@@ -674,6 +684,19 @@ def test_list_point_errors_equal_array_point_errors(fld):
         for call in (fld.alpha, fld.gradient):
             kind, message = _outcome(call, x)
             assert kind != "ok" and (kind, message) == _outcome(call, np.array(x))
+
+
+@pytest.mark.parametrize("fld", LIST_FIELDS.values(), ids=LIST_FIELDS.keys())
+def test_finite_coordinates_whose_sum_overflows_are_finite(fld):
+    # the one-point check sums the coordinates; a sum that overflows must fall
+    # back to the array checks, which accept the point or refuse it by domain
+    for x in ([0.5, 1e308, 1e308, 1e308], [0.5, -1e308, 2.0, -1e308],
+              [1e308, 1e308, math.nan, 0.5], [math.inf, -math.inf, 2.0, 0.5]):
+        for call in (fld.alpha, fld.gradient):
+            assert _outcome(call, x) == _outcome(call, np.array(x))
+    x = np.array([0.5, 1e308, 1e308, 1e308])
+    lo, hi = fld.domain if fld.domain is not None else (-np.inf, np.inf)
+    assert ((lo <= x) & (x <= hi)).all() == (_outcome(fld.alpha, x.tolist())[0] == "ok")
 
 
 @pytest.mark.parametrize("fld", LIST_FIELDS.values(), ids=LIST_FIELDS.keys())

@@ -119,6 +119,13 @@ class TestParticleSpec:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             ParticleSpec(m, c)
 
+    @pytest.mark.parametrize("m, c", [(1e308, 3e8), (1e300, 1e150), (1.0, 1e155)],
+                             ids=["m=1e308", "m*c^2", "c^2"])
+    def test_rest_energy_that_overflows_is_refused(self, m, c):
+        # m c^2 overflows to inf without raising; c^2 alone raises in Python's own pow
+        with pytest.raises(OverflowError):
+            ParticleSpec(m, c)
+
 
 class TestMetric:
     def test_constant_alpha_gives_eta(self):

@@ -66,6 +66,22 @@ class TestWaveFunction:
         with pytest.raises(ValueError):
             WaveFunction1D(y, np.array([1.0, float("nan"), 0.0], dtype=complex))
 
+    def test_normalized_divides_by_the_root_norm_on_the_same_grid(self):
+        y = grid(256, half_width=20.0)
+        psi = WaveFunction1D(y, (1.5 + 0.5j) * np.exp(-(y - 0.3) ** 2 + 0.7j * y), t=0.25)
+        out = psi.normalized()
+        assert np.array_equal(bits(out.psi), bits(psi.psi / math.sqrt(psi.norm_sq())))
+        assert out.y is psi.y and out.t == psi.t
+
+    def test_normalized_amplitudes_that_are_not_finite_are_refused(self):
+        # |psi_i| / sqrt(norm^2) is at most 1 / sqrt(dy), so only a norm that
+        # disagrees with the amplitudes, stubbed here, lets the quotient overflow
+        psi = WaveFunction1D(grid(4), np.full(4, 1e300, dtype=complex))
+        psi.norm_sq = lambda: 1e-320
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            psi.normalized()
+
     def test_vanished_norm_is_not_normalized(self):
         # damping e^{-a0 dt} underflows to zero over one huge step
         psi = evolve(gaussian_packet(grid(), sigma=1.0), HamiltonianSpec(),
@@ -274,6 +290,23 @@ class TestSubstepBasis:
                      observer=lambda *a: seen.append(a))
         assert out.t == psi.t and np.array_equal(bits(out.psi), bits(psi.psi))
         assert seen == []
+
+    @pytest.mark.parametrize("scaling", SCALINGS.values(), ids=SCALINGS.keys())
+    @pytest.mark.parametrize("kind", ["spectral", "fd"])
+    def test_step_is_the_damping_times_the_substep_bit_for_bit(self, kind, scaling):
+        ham = HamiltonianSpec(kind, mass=0.8, hbar=1.1)
+        psi = self.packet()
+        cn = _CrankNicolson(psi.psi.size, psi.dy, ham, self.DT)
+        state = cn.into(psi)
+        for _ in range(3):
+            damping = math.exp(-scaling.damping_exponent(state.t, state.t + self.DT))
+            want = damping * cn.apply(state.psi)
+            before = state.psi.copy()
+            out = quantum.schrodinger_step(state, ham, scaling, self.DT, cn)
+            assert np.array_equal(bits(out.psi), bits(want))
+            assert np.array_equal(bits(state.psi), bits(before))  # the input is left as it was
+            assert out.t == state.t + self.DT and out.y is state.y
+            state = out
 
     @pytest.mark.parametrize("every", [0, -1])
     def test_every_below_one_is_refused(self, every):
