@@ -26,8 +26,6 @@ import numpy as np
 from ._csv import write_column, write_csv
 from .errors import NonFiniteIntegrand, OutOfDomain
 
-_REL_FD_STEP = 1e-5  # default finite-difference step, relative to domain extent
-
 
 def spacetime_point(t=0.0, x=0.0, y=0.0, z=0.0) -> np.ndarray:
     return np.array([t, x, y, z], dtype=float)
@@ -73,7 +71,7 @@ class AlphaField:
     """
 
     domain: tuple[np.ndarray, np.ndarray] | None = None
-    fd_scale: float = _REL_FD_STEP
+    fd_scale: float = 1e-5  # finite-difference step, relative to domain extent
 
     def alpha(self, p) -> float | np.ndarray:
         if not (type(p) is list and len(p) == 4
@@ -176,11 +174,9 @@ class AlphaField:
 class AnalyticField(AlphaField):
     """Field given by a callable alpha(p), with an optional analytic gradient."""
 
-    def __init__(self, alpha_fn: Callable, grad_fn: Callable | None = None,
-                 domain=None, fd_scale: float = _REL_FD_STEP):
+    def __init__(self, alpha_fn: Callable, grad_fn: Callable | None = None, domain=None):
         self._alpha_fn = alpha_fn
         self._grad_fn = grad_fn
-        self.fd_scale = fd_scale
         if domain is not None:
             lo, hi = (np.asarray(domain[0], dtype=float), np.asarray(domain[1], dtype=float))
             self.domain = (lo, hi)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,8 @@ class ParticleSpec:
     def __post_init__(self):
         require_finite_positive("m", self.m)
         require_finite_positive("c", self.c)
-        if self.rest_energy == math.inf:  # Python floats overflow without raising
+        # c ** 2 past sqrt(max) raises an errno OverflowError; m * c ** 2 gives inf
+        if self.c > math.sqrt(sys.float_info.max) or self.rest_energy == math.inf:
             raise OverflowError(f"rest energy m c^2 overflows: m = {self.m!r}, c = {self.c!r}")
 
     @property

@@ -109,10 +109,6 @@ class TimeScaling:
     def constant(cls, a0: float) -> "TimeScaling":
         return cls(alpha=lambda t: a0 * t)
 
-    @classmethod
-    def zero(cls) -> "TimeScaling":
-        return cls.constant(0.0)
-
     def damping_exponent(self, t0: float, t1: float) -> float:
         """int_{t0}^{t1} A dt, exact as alpha(t1) - alpha(t0)."""
         return self.alpha(t1) - self.alpha(t0)

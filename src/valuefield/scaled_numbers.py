@@ -45,12 +45,6 @@ def _ratio(num, den):
 _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _ratio}
 
 
-def _binary_op(op: str):
-    if op not in _BINARY_OPS:
-        raise ValueError(f"op must be one of {tuple(_BINARY_OPS)}, got {op!r}")
-    return _BINARY_OPS[op]
-
-
 @dataclass(frozen=True)
 class NaturalStructure:
     """Natural numbers thinned to every n-th element, with rescaled multiply."""
@@ -109,40 +103,6 @@ class ScaledNumber:
         return self.scale * self.value
 
 
-@dataclass(frozen=True)
-class ScaledVector:
-    """A finite-dimensional vector of values at a common scale factor."""
-
-    value: tuple
-    scale: object
-
-    def __post_init__(self):
-        _check_scale(self.scale)
-        object.__setattr__(self, "value", tuple(self.value))
-
-    def norm(self) -> ScaledNumber:
-        sq = sum(v * v for v in self.value)
-        return ScaledNumber(math.sqrt(sq), self.scale)
-
-    def dot(self, other: "ScaledVector") -> ScaledNumber:
-        if other.scale != self.scale:
-            raise MixedScales(f"dot across scales {self.scale!r} and {other.scale!r}")
-        if len(other.value) != len(self.value):
-            raise ValueError("dimension mismatch")
-        return ScaledNumber(sum(a * b for a, b in zip(self.value, other.value)), self.scale)
-
-
-def value_of_raw(r, s):
-    """Value of the bare base-set element r in the structure scaled by s: r/s.
-
-    A bare element has no value of its own, so where it came from does not
-    matter. Contrast :func:`connect_value`, which moves a number that has a
-    value at the source scale t and so keeps the factor t.
-    """
-    _check_scale(s)
-    return _ratio(r, s)
-
-
 def connect_value(target_s, source_t, x: ScaledNumber) -> ScaledNumber:
     """Map a number at scale t to the *same number* at scale s.
 
@@ -156,22 +116,6 @@ def connect_value(target_s, source_t, x: ScaledNumber) -> ScaledNumber:
     return ScaledNumber(factor * x.value, target_s)
 
 
-def scaled_combine(op: str, s, x: ScaledNumber, y: ScaledNumber) -> ScaledNumber:
-    """Combine two numbers living at the same scale s.
-
-    At the value level this is ordinary arithmetic (each structure is
-    isomorphic to the standard one under valuation); the rescaled raw-level
-    behavior follows: raw(mul) = raw(x)*raw(y)/s, raw(div) = s*raw(x)/raw(y).
-    """
-    fn = _binary_op(op)
-    _check_scale(s)
-    if x.scale != s or y.scale != s:
-        raise MixedScales(
-            f"operands have scales {x.scale!r}, {y.scale!r}; expected {s!r}"
-        )
-    return ScaledNumber(fn(x.value, y.value), s)  # div by 0 raises ZeroDivisionError
-
-
 def commutation_table(s, t, op: str, a, b):
     """Compare transport-then-combine with combine-then-transport.
 
@@ -183,22 +127,11 @@ def commutation_table(s, t, op: str, a, b):
     """
     _check_scale(s)
     _check_scale(t)
-    fn = _binary_op(op)
+    if op not in _BINARY_OPS:
+        raise ValueError(f"op must be one of {tuple(_BINARY_OPS)}, got {op!r}")
+    fn = _BINARY_OPS[op]
     factor = _ratio(t, s)
     combo = fn(factor * a, factor * b)
     transport = factor * fn(a, b)
     return transport, combo, _ratio(combo, transport)
 
-
-def connect_vector(target_s, source_t, v: ScaledVector) -> ScaledVector:
-    """Transport a vector between scales: every component picks up t/s.
-
-    The norm transforms like a scalar value, by one factor t/s. The dot
-    product of two transported vectors picks up (t/s)^2, which is t/s times
-    the transported dot product: the mul mismatch of :func:`commutation_table`.
-    """
-    _check_scale(target_s)
-    if v.scale != source_t:
-        raise MixedScales(f"vector has scale {v.scale!r}, expected {source_t!r}")
-    factor = _ratio(source_t, target_s)
-    return ScaledVector(tuple(factor * c for c in v.value), target_s)

@@ -264,6 +264,18 @@ def scenario_field_calculus(p: dict, out_dir: Path) -> RunReport:
 # -- geodesic ---------------------------------------------------------------
 
 
+def _lorentz_factor(beta: float) -> float:
+    return 1.0 / math.sqrt(1.0 - beta ** 2)
+
+
+def _geodesic_consistency(p: dict) -> list[str]:
+    """The integrator's drift monitor squares u^0 = gamma c as a Python float."""
+    u0, top = _lorentz_factor(p["beta"]) * p["c"], math.sqrt(sys.float_info.max)
+    if u0 <= top:
+        return []
+    return [f"geodesic.c: u0^2 overflows; needs c / sqrt(1 - beta^2) <= {top!r}, got {u0!r}"]
+
+
 @_scenario("geodesic", {
     "c": Param(float, "299792458.0", *_POSITIVE),
     "steps": Param(int, "10000", *_POSITIVE),
@@ -277,7 +289,7 @@ def scenario_geodesic(p: dict, out_dir: Path) -> RunReport:
     report = RunReport("geodesic")
     c, beta, span = p["c"], p["beta"], p["span_tau"]
 
-    gamma = 1.0 / math.sqrt(1.0 - beta ** 2)
+    gamma = _lorentz_factor(beta)
     init = geo.GeodesicState(
         vfield.spacetime_point(0.0, 0.0, 0.0, 0.0),
         np.array([gamma * c, gamma * beta * c, 0.0, 0.0]),
@@ -329,7 +341,7 @@ def scenario_schrodinger(p: dict, out_dir: Path) -> RunReport:
     psi0 = qm.gaussian_packet(y, y0=0.0, sigma=1.0)
     ham = qm.HamiltonianSpec("spectral", mass=1.0, hbar=1.0)
 
-    psi = qm.evolve(psi0, ham, qm.TimeScaling.zero(), dt, steps)
+    psi = qm.evolve(psi0, ham, qm.TimeScaling.constant(0.0), dt, steps)
     report.add_bound("unitarity_norm_drift", abs(psi.norm_sq() - 1.0), 1e-10)
     # the norm checks hold on any grid; the free packet's width sees the
     # resolution: Var(y) = sigma0^2 + (hbar t / (2 m sigma0))^2 with sigma0 = 1
@@ -421,7 +433,8 @@ def _cosmology_consistency(p: dict) -> list[str]:
     return diags
 
 
-_CONSISTENCY = {"field-calculus": _field_calculus_consistency, "cosmology": _cosmology_consistency}
+_CONSISTENCY = {"field-calculus": _field_calculus_consistency, "geodesic": _geodesic_consistency,
+                "cosmology": _cosmology_consistency}
 
 
 @_scenario("cosmology", {

@@ -191,7 +191,7 @@ def test_08_quantum_norm_law():
     psi0 = qm.gaussian_packet(y, sigma=1.0)
     ham = qm.HamiltonianSpec("spectral", mass=1.0, hbar=1.0)
 
-    out0 = qm.evolve(psi0, ham, qm.TimeScaling.zero(), dt=1e-3, n_steps=1000)
+    out0 = qm.evolve(psi0, ham, qm.TimeScaling.constant(0.0), dt=1e-3, n_steps=1000)
     unitary_drift = abs(out0.norm_sq() - 1.0)
 
     a0 = 0.25

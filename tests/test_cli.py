@@ -83,6 +83,17 @@ class TestValidate:
             assert (diags == []) == ok
             assert all(d.startswith("field-calculus.k: ") for d in diags)
 
+    def test_geodesic_c_bounded_by_the_monitor_square(self, tmp_path):
+        # the drift monitor squares u^0 = c / sqrt(1 - beta^2) as a Python float
+        for c, beta, ok in (("1.3407807929942596e154", "0", True),
+                            ("1.3407807929942597e154", "0", False),
+                            ("1.27e154", "0.3", True), ("1.3e154", "0.3", False),
+                            ("1e300", "0.3", False)):
+            cfg = load_config(write_config(tmp_path, "geodesic", {"c": c, "beta": beta}))
+            diags = validate_config(cfg)
+            assert (diags == []) == ok
+            assert all(d.startswith("geodesic.c: u0^2 overflows") for d in diags)
+
     def test_unknown_key(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "bound-check", {"volume": "12"}))
         diags = validate_config(cfg)
@@ -186,6 +197,7 @@ class TestExitCodes:
         ("cosmology", "cosmology.t_now_gyr=1e7", 2),
         ("cosmology", "cosmology.t_now_gyr=1e300", 2),  # t_now overflows to inf
         ("geodesic", "geodesic.mass=1e308", 3),  # the rest energy m c^2 overflows to inf
+        ("geodesic", "geodesic.c=1e155", 2),  # the monitor's (u^0)^2 would overflow
     ])
     def test_bad_input_exit_code_without_traceback(self, tmp_path, capsys,
                                                    scenario, override, code):

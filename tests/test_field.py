@@ -92,7 +92,8 @@ class TestGradientAt:
         p = spacetime_point(0.6, 0.8)  # |p_mu| <= 1, so the step is fd_scale on every axis
         errs = []
         for h in (1e-2, 5e-3, 2.5e-3):
-            fld = AnalyticField(lambda p: math.sin(p[1]) + 0.5 * p[0] ** 2, fd_scale=h)
+            fld = AnalyticField(lambda p: math.sin(p[1]) + 0.5 * p[0] ** 2)
+            fld.fd_scale = h
             num = fld.gradient(p)
             errs.append(np.max(np.abs(num - exact)))
         order = math.log(errs[0] / errs[2]) / math.log(4.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -119,12 +120,18 @@ class TestParticleSpec:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             ParticleSpec(m, c)
 
-    @pytest.mark.parametrize("m, c", [(1e308, 3e8), (1e300, 1e150), (1.0, 1e155)],
-                             ids=["m=1e308", "m*c^2", "c^2"])
+    @pytest.mark.parametrize("m, c", [(1e308, 3e8), (1e300, 1e150), (1.0, 1e155),
+                                      (0.5, math.nextafter(math.sqrt(sys.float_info.max), 2e154))],
+                             ids=["m=1e308", "m*c^2", "c^2", "c^2 just past max"])
     def test_rest_energy_that_overflows_is_refused(self, m, c):
-        # m c^2 overflows to inf without raising; c^2 alone raises in Python's own pow
-        with pytest.raises(OverflowError):
+        # m c^2 overflows to inf without raising; c^2 alone raises an errno
+        # OverflowError in Python's own pow, whose message names nothing
+        with pytest.raises(OverflowError, match=r"^rest energy m c\^2 overflows: m = "):
             ParticleSpec(m, c)
+
+    def test_largest_c_whose_square_is_finite_is_accepted(self):
+        c = math.sqrt(sys.float_info.max)
+        assert ParticleSpec(0.5, c).rest_energy == 0.5 * c ** 2
 
 
 class TestMetric:

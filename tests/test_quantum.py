@@ -26,7 +26,7 @@ def grid(n=1024, half_width=40.0, center=0.0):
 SCALINGS = {
     "constant": TimeScaling.constant(0.25),
     "varying": TimeScaling(alpha=lambda t: 0.2 * t + 0.05 * math.sin(3 * t)),
-    "zero": TimeScaling.zero(),
+    "zero": TimeScaling.constant(0.0),
 }
 
 
@@ -122,12 +122,12 @@ class TestEvolution:
         # RuntimeWarnings are errors in this suite, so a NaN operator fails here too
         psi = gaussian_packet(grid(n=16, half_width=2.0))
         with pytest.raises(ValueError, match="^dt must be finite and positive"):
-            evolve(psi, HamiltonianSpec(), TimeScaling.zero(), dt, 1)
+            evolve(psi, HamiltonianSpec(), TimeScaling.constant(0.0), dt, 1)
 
     def test_zero_scaling_is_unitary(self):
         psi = gaussian_packet(grid(), sigma=1.0)
         ham = HamiltonianSpec("spectral")
-        out = evolve(psi, ham, TimeScaling.zero(), dt=1e-3, n_steps=1000)
+        out = evolve(psi, ham, TimeScaling.constant(0.0), dt=1e-3, n_steps=1000)
         assert abs(out.norm_sq() - 1.0) <= 1e-10
 
     def test_constant_damping_law(self):
@@ -168,7 +168,7 @@ class TestEvolution:
         psi = gaussian_packet(grid(), sigma=sigma0)
         ham = HamiltonianSpec("spectral", mass=mass, hbar=hbar)
         t_final = 2.0
-        out = evolve(psi, ham, TimeScaling.zero(), dt=1e-3, n_steps=2000)
+        out = evolve(psi, ham, TimeScaling.constant(0.0), dt=1e-3, n_steps=2000)
         dens = out.probability_density()
         mean = float(np.sum(dens * out.y) * out.dy)
         var = float(np.sum(dens * (out.y - mean) ** 2) * out.dy)
@@ -178,7 +178,7 @@ class TestEvolution:
     def test_fd_kinetic_norm_preserving(self):
         psi = gaussian_packet(grid(n=512, half_width=25.0), sigma=1.0)
         ham = HamiltonianSpec("fd")
-        out = evolve(psi, ham, TimeScaling.zero(), dt=1e-3, n_steps=300)
+        out = evolve(psi, ham, TimeScaling.constant(0.0), dt=1e-3, n_steps=300)
         assert abs(out.norm_sq() - 1.0) <= 1e-10
 
     def test_fd_step_equals_a_fresh_banded_solve_bit_for_bit(self):
@@ -221,7 +221,7 @@ class TestEvolution:
             psi = gaussian_packet(y, y0=-3.0, sigma=1.5, k0=k0)
             ham = HamiltonianSpec("fd", mass=mass, hbar=hbar)
             steps = int(t_final / (2e-3 * 256 / n))
-            out = evolve(psi, ham, TimeScaling.zero(), dt=t_final / steps, n_steps=steps)
+            out = evolve(psi, ham, TimeScaling.constant(0.0), dt=t_final / steps, n_steps=steps)
             dens = out.probability_density()
             mean = float(np.sum(dens * out.y) * out.dy)
             errs.append(abs(mean - (-3.0 + hbar * k0 / mass * t_final)))
@@ -311,7 +311,7 @@ class TestSubstepBasis:
     @pytest.mark.parametrize("every", [0, -1])
     def test_every_below_one_is_refused(self, every):
         with pytest.raises(ValueError, match="^every must be"):
-            evolve(self.packet(), HamiltonianSpec(), TimeScaling.zero(), self.DT, 10,
+            evolve(self.packet(), HamiltonianSpec(), TimeScaling.constant(0.0), self.DT, 10,
                    every=every)
 
     def test_evolve_calls_the_module_step_once_per_step(self, monkeypatch):
