@@ -125,19 +125,33 @@ def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
     <= cfg.norm_check_tol (NaN included) is retried as two half steps, up to
     _MAX_HALVINGS levels deep, and reports the drift of its last half.
 
-    The state, the stages and their sums are lists of Python floats: ``rhs``
-    and ``drift`` take such a list and ``rhs`` returns one. Float overflow
-    gives inf, not an exception, and the finite check turns it into
-    StepUnstable."""
+    The state is a list of eight floats for both callers, taken by ``rhs``
+    and ``drift`` and returned by ``rhs``; the stages are written out per
+    component in a generic loop's operation order. Overflow gives inf, which
+    the finite check turns into StepUnstable: a finite sum of the state has no
+    inf or NaN term, so only a non-finite sum checks each component."""
     def advance(y, h, depth):
         half, sixth = h / 2, h / 6.0
-        k1 = rhs(y)
-        k2 = rhs([a + half * b for a, b in zip(y, k1)])
-        k3 = rhs([a + half * b for a, b in zip(y, k2)])
-        k4 = rhs([a + h * b for a, b in zip(y, k3)])
-        ynew = [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, ynew)):
+        s0, s1, s2, s3, s4, s5, s6, s7 = y
+        a0, a1, a2, a3, a4, a5, a6, a7 = rhs(y)
+        b0, b1, b2, b3, b4, b5, b6, b7 = rhs([
+            s0 + half * a0, s1 + half * a1, s2 + half * a2, s3 + half * a3,
+            s4 + half * a4, s5 + half * a5, s6 + half * a6, s7 + half * a7])
+        c0, c1, c2, c3, c4, c5, c6, c7 = rhs([
+            s0 + half * b0, s1 + half * b1, s2 + half * b2, s3 + half * b3,
+            s4 + half * b4, s5 + half * b5, s6 + half * b6, s7 + half * b7])
+        d0, d1, d2, d3, d4, d5, d6, d7 = rhs([
+            s0 + h * c0, s1 + h * c1, s2 + h * c2, s3 + h * c3,
+            s4 + h * c4, s5 + h * c5, s6 + h * c6, s7 + h * c7])
+        ynew = [s0 + sixth * (((a0 + 2 * b0) + 2 * c0) + d0),
+                s1 + sixth * (((a1 + 2 * b1) + 2 * c1) + d1),
+                s2 + sixth * (((a2 + 2 * b2) + 2 * c2) + d2),
+                s3 + sixth * (((a3 + 2 * b3) + 2 * c3) + d3),
+                s4 + sixth * (((a4 + 2 * b4) + 2 * c4) + d4),
+                s5 + sixth * (((a5 + 2 * b5) + 2 * c5) + d5),
+                s6 + sixth * (((a6 + 2 * b6) + 2 * c6) + d6),
+                s7 + sixth * (((a7 + 2 * b7) + 2 * c7) + d7)]
+        if not (math.isfinite(sum(ynew)) or all(map(math.isfinite, ynew))):
             raise StepUnstable(f"non-finite state during {what} step")
         d = drift(ynew)
         if not (d <= cfg.norm_check_tol):  # NaN drift fails too
@@ -172,6 +186,8 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
     relative is retried at half the step, up to _MAX_HALVINGS levels deep.
     """
     require_finite_positive("c", c)
+    if not math.isfinite(_eta_uu(init.u.tolist())):  # some u_k * u_k, or their sum
+        raise OverflowError(f"4-velocity u = {init.u.tolist()!r} overflows eta(u, u)")
 
     def monitor(y0):
         alpha0, q0 = field.alpha(y0[:4]), _eta_uu(y0[4:])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from valuefield.errors import InvalidEnergy, LeftDomain
+from valuefield import geometry
+from valuefield.errors import InvalidEnergy, LeftDomain, OutOfDomain, StepUnstable
 from valuefield.field import (AlphaField, AnalyticField, ConstantField, GridField,
                               TimeOnlyField, spacetime_point)
 from valuefield.geometry import (
@@ -97,6 +98,43 @@ def numpy_rk4_geodesic(field, init, h, n, c):
         k4 = rhs(y + h * k3)
         ys.append(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
     return np.array(ys)
+
+
+def zip_rk4_path(rhs, y0, cfg, monitor, what):
+    """Reference: the RK4 loop with its stages and stage sums as zip
+    comprehensions over a state of any length, as the loop was written before
+    its stages were spelled out on the eight state floats."""
+    def advance(y, h, depth):
+        half, sixth = h / 2, h / 6.0
+        k1 = rhs(y)
+        k2 = rhs([a + half * b for a, b in zip(y, k1)])
+        k3 = rhs([a + half * b for a, b in zip(y, k2)])
+        k4 = rhs([a + h * b for a, b in zip(y, k3)])
+        ynew = [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, ynew)):
+            raise StepUnstable(f"non-finite state during {what} step")
+        d = drift(ynew)
+        if not (d <= cfg.norm_check_tol):  # NaN drift fails too
+            if depth >= geometry._MAX_HALVINGS:
+                raise StepUnstable(f"conservation drift {d:.3e} exceeds tolerance "
+                                   f"{cfg.norm_check_tol:.3e} at minimum step")
+            y, _ = advance(y, h / 2, depth + 1)
+            return advance(y, h / 2, depth + 1)
+        return ynew, d
+
+    ys = np.empty((max(1, round(cfg.span / cfg.step)) + 1, y0.size))
+    ys[0] = y = y0.tolist()
+    drift_max = 0.0
+    try:
+        drift = monitor(y)  # its field calls map to LeftDomain too
+        for i in range(1, len(ys)):
+            y, d = advance(y, cfg.step, 0)
+            ys[i] = y
+            drift_max = max(drift_max, d)
+    except OutOfDomain as exc:
+        raise LeftDomain(f"{what} trajectory left the field domain: {exc}") from exc
+    return ys, drift_max
 
 
 class TestIntegratorConfig:
@@ -381,6 +419,31 @@ class TestIntegrateGeodesic:
         minus = geodesic_rhs(space_field(-2e-4), st, C_DESK)
         assert np.array_equal(plus, -minus)
 
+    @pytest.mark.parametrize("u", [[1e200, 0, 0, 0], [1.0, 1e200, 0, 0]],
+                             ids=["u0^2", "u1^2"])
+    def test_four_velocity_whose_squares_overflow_is_refused_at_entry(self, u):
+        init = GeodesicState(spacetime_point(), np.array(u))
+        with pytest.raises(OverflowError, match=r"^4-velocity u = \[.*\] overflows eta\(u, u\)$"):
+            integrate_geodesic(ConstantField(0.0), init, IntegratorConfig(step=0.1, span=1.0),
+                               1.0)
+
+    def test_state_that_overflows_in_the_last_stage_sum_is_unstable(self):
+        # dt/dtau = u0 / c = 1e308: every stage point is finite, but the
+        # weighted sum of the four t slopes, and so the new t, is not
+        init = GeodesicState(spacetime_point(), np.array([1e100, 0, 0, 0]))
+        cfg = IntegratorConfig(step=1e-10, span=1e-10)
+        with pytest.raises(StepUnstable, match="^non-finite state during geodesic step$"):
+            integrate_geodesic(ConstantField(0.0), init, cfg, 1e-208)
+
+    def test_finite_state_whose_sum_overflows_is_accepted(self):
+        # t + x overflows although each is finite: the finite check must not
+        # stop at the sum
+        init = GeodesicState(spacetime_point(1.7e308, 1.7e308, 0, 0), np.array([1.0, 0, 0, 0]))
+        traj = integrate_geodesic(ConstantField(0.0), init, IntegratorConfig(step=1.0, span=1.0),
+                                  1.0)
+        assert traj.p[1].tolist() == [1.7e308 + 1.0, 1.7e308, 0.0, 0.0]
+        assert traj.norm_drift == 0.0
+
     def test_leaves_domain(self):
         dom = (spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))
         fld = AnalyticField(lambda p: 0.0, lambda p: np.zeros(4), domain=dom)
@@ -493,6 +556,41 @@ class TestCoordinateTime:
             integrate_coordinate(fld, spacetime_point(), np.array([0.5, 0, 0]),
                                  ParticleSpec(1.0, C_DESK), IntegratorConfig(step=0.1, span=10.0))
 
+
+class TestWrittenOutStages:
+    """The RK4 loop's stages, written out on the eight state floats, give the
+    bits of the generic zip loop on paths the NumPy references do not reach."""
+
+    @pytest.mark.parametrize("p0, u0, span, tol", [
+        ((0.1, 0.2, -0.3, 0.4), (1.2 * C_DESK, 0.9, -0.6, 0.5), 1.0, 2e-9),
+        ((0.0, 0.0, 0.0, 0.0), (C_DESK, 0.0, 0.0, 0.0), 10.0, 1e-9),
+    ], ids=["moving", "at-rest"])
+    def test_geodesic_with_step_halvings_on_a_field_varying_along_every_axis(
+            self, monkeypatch, p0, u0, span, tol):
+        class CountingField(DelegatingField):
+            gradient_calls = 0
+
+            def gradient(self, p):
+                self.gradient_calls += 1
+                return super().gradient(p)
+
+        init = GeodesicState(spacetime_point(*p0), np.array(u0))
+        cfg = IntegratorConfig(step=0.1, span=span, norm_check_tol=tol)
+        fld = CountingField(wave_field())
+        traj = integrate_geodesic(fld, init, cfg, C_DESK)
+        assert fld.gradient_calls > 4 * (len(traj.tau) - 1)  # the tolerance forces halvings
+        monkeypatch.setattr(geometry, "_rk4_path", zip_rk4_path)
+        assert_same_trajectory(traj, integrate_geodesic(wave_field(), init, cfg, C_DESK))
+
+    @pytest.mark.parametrize("k, step, span", [(-0.05, 0.1, 10.0), (-0.2, 0.01, 2.0)])
+    def test_coordinate_time_form(self, monkeypatch, k, step, span):
+        args = (space_field(k), spacetime_point(), np.array([0.5, -0.2, 0.3]),
+                ParticleSpec(1.0, C_DESK), IntegratorConfig(step=step, span=span))
+        got = integrate_coordinate(*args)
+        monkeypatch.setattr(geometry, "_rk4_path", zip_rk4_path)
+        want = integrate_coordinate(*args)
+        for name in ("s", "p", "v", "gamma"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 class TestEnergyRate:
     def test_flat_field_conserves_energy(self):
