@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_M_PER_S, G_M3_KG_S2, MPC_KM, YEAR_S
-from .errors import InvalidBoundaries, OutOfDomain, OutOfRange, require_finite_positive
+from .errors import InvalidBoundaries, OutOfRange, require_finite_positive
 from .field import _CORNERS
 
 _FLATNESS_TOL = 1e-12
@@ -35,19 +35,18 @@ def h0_convert(h0_kms_mpc: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CosmologyParams:
-    """Present-day cosmological parameters of a flat universe (Omega sum 1)."""
+    """Present-day cosmological parameters of a flat universe (Omega sum 1);
+    G and c are not settable, every run uses those of ``valuefield.constants``."""
 
     h0_kms_mpc: float = 70.0
     omega_m: float = 0.3
     omega_r: float = 0.0
     omega_v: float = 0.7
-    G: float = G_M3_KG_S2
-    c: float = C_M_PER_S
     t_now_yr: float = 13.8e9
     lam: float | None = None   # cosmological constant, 1/m^2
 
     def __post_init__(self):
-        for name in ("h0_kms_mpc", "G", "c", "t_now_s"):  # t_now_s: t_now_yr in seconds
+        for name in ("h0_kms_mpc", "t_now_s"):  # t_now_s: t_now_yr in seconds
             require_finite_positive(name, getattr(self, name))
         for name in ("omega_m", "omega_r", "omega_v"):
             value = getattr(self, name)
@@ -205,7 +204,7 @@ def redshift(profile: AlphaProfile, s_emit: float, s_recv: float) -> float:
 def critical_density(params: CosmologyParams) -> float:
     """Density closing a flat universe today: 3 H0^2 / (8 pi G), kg/m^3."""
     h0 = params.h0_per_s
-    return 3.0 * h0 ** 2 / (8.0 * math.pi * params.G)
+    return 3.0 * h0 ** 2 / (8.0 * math.pi * G_M3_KG_S2)
 
 
 def density(profile: AlphaProfile, s: float, params: CosmologyParams) -> float:
@@ -234,9 +233,9 @@ def friedmann_residuals(profile: AlphaProfile, s: float, rho: float, p: float,
     """
     a_slope = profile.slope(s)
     a_rate = profile.slope_rate(s)
-    c2 = params.c ** 2
+    c2 = C_M_PER_S ** 2
     lam_term = (params.lam or 0.0) * c2 / 3.0
-    fourpg = 4.0 * math.pi * params.G
+    fourpg = 4.0 * math.pi * G_M3_KG_S2
     r1 = a_slope ** 2 - (2.0 * fourpg * rho / 3.0 + lam_term)
     r2 = (-a_rate + a_slope ** 2) + (fourpg / 3.0) * (rho + 3.0 * p / c2) - lam_term
     r3 = a_rate - fourpg * (rho + p / c2)
@@ -249,7 +248,7 @@ def friedmann_residuals(profile: AlphaProfile, s: float, rho: float, p: float,
 def vacuum_rate(params: CosmologyParams) -> float:
     """Exponential expansion rate sqrt(8 pi G rho_V / 3) at the critical
     vacuum density rho_V; it equals H0."""
-    return math.sqrt(8.0 * math.pi * params.G * critical_density(params) / 3.0)
+    return math.sqrt(8.0 * math.pi * G_M3_KG_S2 * critical_density(params) / 3.0)
 
 
 def linear_hubble_profile(params: CosmologyParams) -> AlphaProfile:
@@ -284,34 +283,30 @@ def build_alpha_profile(params: CosmologyParams, s_rm: float, s_de: float) -> Al
 # -- experimental bound on local alpha variation ----------------------------
 
 
-def local_bound_check(obj, region, x_ref=None, eps: float = 1e-10,
+def local_bound_check(obj, region, eps: float = 1e-10,
                       samples_per_axis: int = 1000) -> tuple[float, bool]:
-    """Maximum |alpha(y) - alpha(x_ref)| over a region, against a detectability
+    """Maximum |alpha(y) - alpha(ref)| over a region, against a detectability
     threshold eps. Returns (max_deviation, max_deviation <= eps), the test a
     report row applies to a measured value and its bound.
 
-    For an :class:`AlphaProfile`, ``region`` is a time interval (s_lo, s_hi)
-    and x_ref a time (default s_hi). The profile is nonincreasing, so the
-    maximum is exact: it sits at an end of the interval. For an
-    :class:`AlphaField`, ``region`` is a box (lo4, hi4) and x_ref a point
-    (default the box center); the deviation is *sampled*, not bounded, along
-    axis-aligned lines through x_ref plus all box corners, with
-    ``samples_per_axis`` points per line.
+    The reference is fixed by the region. For an :class:`AlphaProfile`,
+    ``region`` is a time interval (s_lo, s_hi) and the reference is s_hi, the
+    present end. The profile is nonincreasing, so the maximum is exact: it is
+    |alpha(s_lo) - alpha(s_hi)|. For an :class:`AlphaField`, ``region`` is a
+    box (lo4, hi4) and the reference its centre; the deviation is *sampled*,
+    not bounded, along the axis-aligned lines through the centre plus all
+    box corners, with ``samples_per_axis`` points per line.
     """
     require_finite_positive("eps", eps)
     if isinstance(obj, AlphaProfile):
-        s_lo, s_hi = float(region[0]), float(region[1])
-        ref = s_hi if x_ref is None else float(x_ref)
-        dev = max(abs(obj.alpha_diff(s_lo, ref)), abs(obj.alpha_diff(s_hi, ref)))
+        dev = abs(obj.alpha_diff(float(region[0]), float(region[1])))
         return dev, dev <= eps
 
     lo = np.asarray(region[0], dtype=float)
     hi = np.asarray(region[1], dtype=float)
     if lo.shape != (4,) or hi.shape != (4,):
         raise ValueError("field region must be a (lo4, hi4) box")
-    ref = 0.5 * (lo + hi) if x_ref is None else np.asarray(x_ref, dtype=float)
-    if np.any(ref < lo) or np.any(ref > hi):
-        raise OutOfDomain("reference point outside the region")
+    ref = 0.5 * (lo + hi)
     axes = np.flatnonzero(hi > lo)
     lines = np.tile(ref, (samples_per_axis, axes.size, 1))
     lines[:, np.arange(axes.size), axes] = np.linspace(lo[axes], hi[axes], samples_per_axis)

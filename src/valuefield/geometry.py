@@ -44,6 +44,8 @@ class GeodesicState:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != (4,) or not np.all(np.isfinite(self.u)):
             raise ValueError(f"4-velocity must be 4 finite components, got {self.u!r}")
+        if not math.isfinite(_eta_uu(self.u.tolist())):  # some u_k * u_k, or their sum
+            raise OverflowError(f"4-velocity u = {self.u.tolist()!r} overflows eta(u, u)")
 
 
 @dataclass(frozen=True)
@@ -186,8 +188,6 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
     relative is retried at half the step, up to _MAX_HALVINGS levels deep.
     """
     require_finite_positive("c", c)
-    if not math.isfinite(_eta_uu(init.u.tolist())):  # some u_k * u_k, or their sum
-        raise OverflowError(f"4-velocity u = {init.u.tolist()!r} overflows eta(u, u)")
 
     def monitor(y0):
         alpha0, q0 = field.alpha(y0[:4]), _eta_uu(y0[4:])

@@ -11,9 +11,9 @@ e^{-int A dt} times a unitary Crank-Nicolson substep. The squared norm then
 obeys d||psi||^2/dt = -2 A(t) ||psi||^2 with no splitting error, isolating
 discretization error in the unitary part.
 
-The spatial grid maps to spacetime axis 1 at the wave function's time; the
-free-particle Hamiltonian uses a periodic spectral kinetic operator, the
-finite-difference one a Dirichlet tridiagonal stencil.
+The spatial grid maps to spacetime axis 1 at the wave function's time. Units
+are hbar = m = 1, so the free-particle Hamiltonian is -(1/2) d^2/dy^2: a
+periodic spectral kinetic operator, or a Dirichlet tridiagonal stencil.
 """
 
 from __future__ import annotations
@@ -86,17 +86,13 @@ def gaussian_packet(y, y0=0.0, sigma=1.0, k0=0.0) -> WaveFunction1D:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Free-particle kinetic operator: periodic spectral or Dirichlet tridiagonal."""
+    """Kinetic operator -(1/2) d^2/dy^2 (hbar = m = 1): periodic spectral or Dirichlet fd."""
 
     kind: str = "spectral"
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("spectral", "fd"):
             raise ValueError(f"kind must be 'spectral' or 'fd', got {self.kind!r}")
-        require_finite_positive("mass", self.mass)
-        require_finite_positive("hbar", self.hbar)
 
 
 class TimeScaling:
@@ -130,14 +126,14 @@ class _CrankNicolson:
 
     def __init__(self, n: int, dy: float, ham: HamiltonianSpec, dt: float):
         self.spectral = ham.kind == "spectral"
-        lam = dt / (2.0 * ham.hbar)
+        lam = dt / 2.0
         if self.spectral:
             k = 2.0 * math.pi * np.fft.fftfreq(n, d=dy)
-            energy = (ham.hbar * k) ** 2 / (2.0 * ham.mass)
+            energy = k ** 2 / 2.0
             self.mult = (1.0 - 1j * lam * energy) / (1.0 + 1j * lam * energy)
         else:
             from scipy.linalg.lapack import zgttrf, zgttrs  # deferred: slow to import, fd only
-            kappa = ham.hbar ** 2 / (2.0 * ham.mass * dy ** 2)
+            kappa = 1.0 / (2.0 * dy ** 2)
             diag = np.full(n, 2.0 * kappa)
             off = np.full(n - 1, -kappa)
             *self.lu, info = zgttrf(1j * lam * off, 1.0 + 1j * lam * diag, 1j * lam * off)

@@ -25,7 +25,7 @@ from . import geometry as geo
 from . import quantum as qm
 from . import scaled_numbers as sn
 from ._csv import write_csv
-from .constants import CONSTANTS_TABLE, GYR_S, YEAR_S
+from .constants import C_M_PER_S, CONSTANTS_TABLE, GYR_S, YEAR_S
 from .errors import ConfigInvalid
 
 
@@ -339,16 +339,16 @@ def scenario_schrodinger(p: dict, out_dir: Path) -> RunReport:
 
     y = np.linspace(-40.0, 40.0, p["n"], endpoint=False)
     psi0 = qm.gaussian_packet(y, y0=0.0, sigma=1.0)
-    ham = qm.HamiltonianSpec("spectral", mass=1.0, hbar=1.0)
+    ham = qm.HamiltonianSpec("spectral")
 
     psi = qm.evolve(psi0, ham, qm.TimeScaling.constant(0.0), dt, steps)
     report.add_bound("unitarity_norm_drift", abs(psi.norm_sq() - 1.0), 1e-10)
     # the norm checks hold on any grid; the free packet's width sees the
-    # resolution: Var(y) = sigma0^2 + (hbar t / (2 m sigma0))^2 with sigma0 = 1
+    # resolution: Var(y) = sigma0^2 + (t / (2 sigma0))^2 with sigma0 = 1 (hbar = m = 1)
     rho = psi.probability_density()
     rho = rho / np.sum(rho)
     var = np.sum(rho * (y - np.sum(rho * y)) ** 2)
-    spread = 1.0 + (ham.hbar * steps * dt / (2 * ham.mass)) ** 2
+    spread = 1.0 + (steps * dt / 2) ** 2
     report.add_bound("free_spreading_variance_rel_err", abs(var / spread - 1.0), 1e-6)
 
     # the transport weight e^{alpha} of <y>: under alpha = k y the unit-variance
@@ -394,12 +394,17 @@ _ERAS = (
 )
 
 
+def _era_seconds(p: dict) -> tuple[float, float, float]:
+    """s_rm, s_de and t_now in seconds, rounded as the profile is built from them."""
+    return p["s_rm_kyr"] * 1e3 * YEAR_S, p["s_de_gyr"] * GYR_S, p["t_now_gyr"] * 1e9 * YEAR_S
+
+
 def _cosmology_model(p: dict) -> tuple[cos.CosmologyParams, cos.AlphaProfile]:
     """The configured parameters and the stitched radiation-matter-vacuum profile."""
     params = cos.CosmologyParams(
         h0_kms_mpc=p["h0_kms_mpc"], omega_m=p["omega_m"], omega_r=p["omega_r"],
         omega_v=p["omega_v"], t_now_yr=p["t_now_gyr"] * 1e9)
-    s_rm, s_de = p["s_rm_kyr"] * 1e3 * YEAR_S, p["s_de_gyr"] * GYR_S
+    s_rm, s_de, _ = _era_seconds(p)
     return params, cos.build_alpha_profile(params, s_rm, s_de)
 
 
@@ -416,14 +421,15 @@ def _cosmology_consistency(p: dict) -> list[str]:
     if abs(total - 1.0) > cos._FLATNESS_TOL:
         diags.append(f"cosmology.omega_m+omega_r+omega_v: flatness violated, "
                      f"sum = {total!r} (needs 1)")
-    if p["s_rm_kyr"] * 1e3 >= p["s_de_gyr"] * 1e9:
+    s_rm, s_de, t_now = _era_seconds(p)  # ordered in seconds, as build_alpha_profile needs
+    if s_rm >= s_de:
         diags.append("cosmology.s_rm_kyr: must precede s_de_gyr")
-    if p["s_de_gyr"] >= p["t_now_gyr"]:
+    if s_de >= t_now:
         diags.append("cosmology.s_de_gyr: must precede t_now_gyr")
     if diags:
         return diags
     exponent, top = math.inf, math.log(sys.float_info.max)
-    if p["t_now_gyr"] * 1e9 * YEAR_S < math.inf:  # CosmologyParams.t_now_s
+    if t_now < math.inf:
         _, profile = _cosmology_model(p)
         exponent = 4.0 * profile.alpha_diff(_profile_csv_start(profile), profile.t_now)
     if not exponent <= top:  # NaN fails too
@@ -470,7 +476,7 @@ def scenario_cosmology(p: dict, out_dir: Path) -> RunReport:
         rel = []
         for s in (0.01 * t, 0.1 * t, 0.5 * t, t):
             rho = cos.density(prof, s, era)
-            r1, r2, _ = cos.friedmann_residuals(prof, s, rho, w * rho * era.c ** 2, era)
+            r1, r2, _ = cos.friedmann_residuals(prof, s, rho, w * rho * C_M_PER_S ** 2, era)
             a2 = prof.slope(s) ** 2
             rel += [abs(r1) / a2, abs(r2) / a2]
         # np.max propagates NaN, so a NaN residual fails the bound

@@ -17,7 +17,7 @@ from valuefield import field as vfield
 from valuefield import geometry as geo
 from valuefield import quantum as qm
 from valuefield import scaled_numbers as sn
-from valuefield.constants import AU_LIGHT_TIME_S, YEAR_S
+from valuefield.constants import AU_LIGHT_TIME_S, C_M_PER_S, YEAR_S
 from valuefield.field import AnalyticField, ConstantField, spacetime_point
 
 
@@ -189,7 +189,7 @@ def test_08_quantum_norm_law():
     n = 1024
     y = np.linspace(-40.0, 40.0, n, endpoint=False)
     psi0 = qm.gaussian_packet(y, sigma=1.0)
-    ham = qm.HamiltonianSpec("spectral", mass=1.0, hbar=1.0)
+    ham = qm.HamiltonianSpec("spectral")
 
     out0 = qm.evolve(psi0, ham, qm.TimeScaling.constant(0.0), dt=1e-3, n_steps=1000)
     unitary_drift = abs(out0.norm_sq() - 1.0)
@@ -250,7 +250,7 @@ def test_10_friedmann_residuals():
     for frac in (0.01, 0.1, 0.5, 1.0):
         s = frac * t_r
         rho = cos.density(prof_r, s, params_r)
-        p = rho * params_r.c ** 2 / 3.0
+        p = rho * C_M_PER_S ** 2 / 3.0
         r1, r2, _ = cos.friedmann_residuals(prof_r, s, rho, p, params_r)
         scale = prof_r.slope(s) ** 2
         worst = max(worst, abs(r1) / scale, abs(r2) / scale)

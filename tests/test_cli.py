@@ -210,6 +210,25 @@ class TestExitCodes:
             assert captured.err.startswith("run error: OverflowError: ")
             assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("overrides, diag", [
+        (["cosmology.s_de_gyr=8.366499935265576", "cosmology.s_rm_kyr=8366499.935265576"],
+         "cosmology.s_rm_kyr: must precede s_de_gyr"),
+        (["cosmology.t_now_gyr=10.892572949232882", "cosmology.s_de_gyr=10.89257294923288"],
+         "cosmology.s_de_gyr: must precede t_now_gyr"),
+    ], ids=["s_rm-rounds-onto-s_de", "s_de-rounds-onto-t_now"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_era_boundaries_equal_in_seconds_are_a_config_error(self, tmp_path, capsys,
+                                                                 command, overrides, diag):
+        # distinct in kyr and Gyr, equal once converted to the seconds the profile is built in
+        argv = [command, str(write_config(tmp_path, "cosmology"))]
+        argv += [arg for item in overrides for arg in ("--set", item)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            diag if command == "validate" else f"config error: {diag}"]
+
     @pytest.mark.parametrize("scenario, override", [
         ("geodesic", "geodesic.steps=1000000000000000"),
         ("schrodinger", "schrodinger.n=2000000000000000"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from valuefield.constants import AU_LIGHT_TIME_S, GYR_S, YEAR_S
+from valuefield.constants import AU_LIGHT_TIME_S, C_M_PER_S, GYR_S, YEAR_S
 from valuefield.cosmology import (
     AlphaProfile,
     CosmologyParams,
@@ -92,10 +92,6 @@ class TestParams:
         {"t_now_yr": 1e301},  # finite in years, inf in seconds
         {"h0_kms_mpc": float("inf")},
         {"h0_kms_mpc": float("nan")},
-        {"G": float("nan")},
-        {"G": float("inf")},
-        {"G": 0.0},
-        {"c": float("nan")},
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_non_finite_or_non_positive_values_are_refused(self, kwargs):
         with pytest.raises(ValueError, match="must be finite"):
@@ -236,8 +232,6 @@ class TestDensity:
         base = critical_density(CosmologyParams())
         assert critical_density(CosmologyParams(h0_kms_mpc=140.0)) == pytest.approx(
             4 * base, rel=1e-12)
-        doubled_g = CosmologyParams(G=2 * CosmologyParams().G)
-        assert critical_density(doubled_g) == pytest.approx(base / 2, rel=1e-12)
 
     def test_matter_scaling_with_halved_scale_factor(self):
         params = matter_only_params()
@@ -276,7 +270,7 @@ class TestFriedmannResiduals:
         for frac in (0.01, 0.2, 1.0):
             s = frac * params.t_now_s
             rho = density(prof, s, params)
-            p = rho * params.c ** 2 / 3.0
+            p = rho * C_M_PER_S ** 2 / 3.0
             r1, r2, _ = friedmann_residuals(prof, s, rho, p, params)
             scale = prof.slope(s) ** 2
             assert abs(r1) <= 1e-9 * scale
@@ -287,7 +281,7 @@ class TestFriedmannResiduals:
         prof = linear_hubble_profile(params)
         rho_v = critical_density(params)
         s = 0.5 * prof.t_now
-        r1, r2, r3 = friedmann_residuals(prof, s, rho_v, -rho_v * params.c ** 2, params)
+        r1, r2, r3 = friedmann_residuals(prof, s, rho_v, -rho_v * C_M_PER_S ** 2, params)
         assert r3 == 0.0
         assert abs(r1) <= 1e-12 * prof.slope(s) ** 2
 
@@ -423,7 +417,7 @@ class TestProfileAsField:
         t = prof.t_now
         region = (spacetime_point(t - 499.0, -1e9, -1e9, -1e9),
                   spacetime_point(t, 1e9, 1e9, 1e9))
-        dev, ok = local_bound_check(fld, region, x_ref=spacetime_point(t))
+        dev, ok = local_bound_check(fld, region)
         assert ok and dev < 1e-14
 
 
@@ -443,24 +437,22 @@ class TestBoundCheck:
         assert dev == pytest.approx(params.h0_per_s * AU_LIGHT_TIME_S, rel=0.15)
         assert dev < 1e-14
 
-    def test_interior_reference_takes_the_larger_end(self):
-        # region across the matter to dark-energy onset, reference inside it
+    def test_end_reference_deviation_is_the_sampled_maximum(self):
+        # region across the matter to dark-energy onset, reference at its present end
         params = CosmologyParams()
         prof = build_alpha_profile(params, 50e3 * YEAR_S, 10 * GYR_S)
-        lo, hi, ref = 9 * GYR_S, 13 * GYR_S, 10.5 * GYR_S
-        dev, ok = local_bound_check(prof, (lo, hi), x_ref=ref, eps=1.0)
-        ends = [abs(prof.alpha_diff(lo, ref)), abs(prof.alpha_diff(hi, ref))]
-        assert dev == max(ends) and ok
-        assert ends[0] != ends[1]
-        sampled = max(abs(prof.alpha_diff(float(s), ref)) for s in np.linspace(lo, hi, 1001))
+        lo, hi = 9 * GYR_S, 13 * GYR_S
+        dev, ok = local_bound_check(prof, (lo, hi), eps=1.0)
+        assert ok and dev > 0
+        sampled = max(abs(prof.alpha_diff(float(s), hi)) for s in np.linspace(lo, hi, 1001))
         assert sampled == dev
 
     def test_threshold_crossing(self):
         from valuefield.field import AnalyticField
         fld = AnalyticField(lambda p: 1e-9 * p[1], lambda p: np.array([0, 1e-9, 0, 0.0]))
-        region = (spacetime_point(0, 0, 0, 0), spacetime_point(0, 1.0, 0, 0))
-        dev, ok = local_bound_check(fld, region, x_ref=spacetime_point(0, 0, 0, 0),
-                                    eps=1e-10)
+        # the box centre, the reference, is the origin
+        region = (spacetime_point(0, -1.0, 0, 0), spacetime_point(0, 1.0, 0, 0))
+        dev, ok = local_bound_check(fld, region, eps=1e-10)
         assert not ok
         assert dev == pytest.approx(1e-9, rel=1e-9)
 

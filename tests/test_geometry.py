@@ -221,6 +221,12 @@ class TestGeodesicRhs:
         with pytest.raises(ValueError, match="^4-velocity must be 4 finite components"):
             GeodesicState(spacetime_point(), u)
 
+    def test_four_velocity_whose_squares_overflow_never_reaches_the_rhs(self):
+        # the rhs squares u: at u0 = 1e200 it returned [nan inf nan nan]
+        with pytest.raises(OverflowError, match=r"^4-velocity u = \[.*\] overflows eta\(u, u\)$"):
+            geodesic_rhs(space_field(1e-3), GeodesicState(spacetime_point(), [1e200, 0, 0, 0]),
+                         1.0)
+
     def test_agrees_with_the_array_formula(self):
         fld = wave_field()
         st = GeodesicState(spacetime_point(0.1, 0.2, -0.3, 0.4),
@@ -422,8 +428,8 @@ class TestIntegrateGeodesic:
     @pytest.mark.parametrize("u", [[1e200, 0, 0, 0], [1.0, 1e200, 0, 0]],
                              ids=["u0^2", "u1^2"])
     def test_four_velocity_whose_squares_overflow_is_refused_at_entry(self, u):
-        init = GeodesicState(spacetime_point(), np.array(u))
         with pytest.raises(OverflowError, match=r"^4-velocity u = \[.*\] overflows eta\(u, u\)$"):
+            init = GeodesicState(spacetime_point(), np.array(u))
             integrate_geodesic(ConstantField(0.0), init, IntegratorConfig(step=0.1, span=1.0),
                                1.0)
 
@@ -492,8 +498,10 @@ class TestCoordinateTime:
                                   ParticleSpec(1.0, C_DESK))
         assert out[0] == pytest.approx(-0.5 * a0 * C_DESK ** 2, rel=1e-12)
 
-    def test_reparameterized_consistency_with_proper_time(self):
-        a0 = -1e-5
+    @staticmethod
+    def proper_vs_coordinate_gap(a0):
+        """Largest |x(t)| gap between the proper-time and coordinate-time
+        paths of one particle in alpha = a0 t, relative to the largest |x|."""
         fld = time_field(a0)
         part = ParticleSpec(1.0, C_DESK)
         v0 = 0.25 * C_DESK
@@ -508,7 +516,16 @@ class TestCoordinateTime:
         tt = coord.p[:, 0]
         mask = tt <= proper.p[-1, 0]
         err = np.max(np.abs(x_of_t(tt[mask]) - coord.p[mask, 1]))
-        assert err <= 1e-6 * np.max(np.abs(coord.p[mask, 1]))
+        return err / np.max(np.abs(coord.p[mask, 1]))
+
+    def test_reparameterized_consistency_with_proper_time(self):
+        assert self.proper_vs_coordinate_gap(-1e-5) <= 1e-6
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the proper-time equation keeps "
+                       "e^{3 dalpha} eta(u, u) constant, so -eta(u, u) leaves c^2, while "
+                       "coordinate_time_rhs hard-codes c^2; the paths part as alpha changes")
+    def test_reparameterized_consistency_with_proper_time_at_a_larger_rate(self):
+        assert self.proper_vs_coordinate_gap(-1e-2) <= 1e-6
 
     def test_particle_that_cannot_climb_is_invalid_energy(self):
         # a rest particle in a rising alpha(t) loses energy below its rest energy

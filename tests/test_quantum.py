@@ -95,16 +95,6 @@ class TestWaveFunction:
             psi.normalized()
 
 
-class TestHamiltonianSpec:
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"mass": float("nan")}, "mass"), ({"mass": float("inf")}, "mass"),
-        ({"hbar": float("nan")}, "hbar"), ({"hbar": float("inf")}, "hbar"),
-    ], ids=["mass=nan", "mass=inf", "hbar=nan", "hbar=inf"])
-    def test_non_finite_mass_or_hbar_is_refused(self, kwargs, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
-            HamiltonianSpec(**kwargs)
-
-
 class TestTimeScaling:
     def test_constant_rate(self):
         sc = TimeScaling.constant(0.3)
@@ -164,15 +154,15 @@ class TestEvolution:
         assert out.norm_sq() > 1.0
 
     def test_free_dispersion_matches_analytic(self):
-        hbar, mass, sigma0 = 1.0, 1.0, 1.0
+        sigma0 = 1.0  # hbar = m = 1
         psi = gaussian_packet(grid(), sigma=sigma0)
-        ham = HamiltonianSpec("spectral", mass=mass, hbar=hbar)
+        ham = HamiltonianSpec("spectral")
         t_final = 2.0
         out = evolve(psi, ham, TimeScaling.constant(0.0), dt=1e-3, n_steps=2000)
         dens = out.probability_density()
         mean = float(np.sum(dens * out.y) * out.dy)
         var = float(np.sum(dens * (out.y - mean) ** 2) * out.dy)
-        sigma_exact = sigma0 * math.sqrt(1 + (hbar * t_final / (2 * mass * sigma0 ** 2)) ** 2)
+        sigma_exact = sigma0 * math.sqrt(1 + (t_final / (2 * sigma0 ** 2)) ** 2)
         assert math.sqrt(var) == pytest.approx(sigma_exact, rel=1e-4)
 
     def test_fd_kinetic_norm_preserving(self):
@@ -184,10 +174,9 @@ class TestEvolution:
     def test_fd_step_equals_a_fresh_banded_solve_bit_for_bit(self):
         from scipy.linalg import solve_banded  # the reference the factored step replaces
         n, dy, dt = 300, 0.1, 0.05
-        ham = HamiltonianSpec("fd", mass=0.7, hbar=1.3)
-        cn = _CrankNicolson(n, dy, ham, dt)
-        lam = dt / (2.0 * ham.hbar)
-        kappa = ham.hbar ** 2 / (2.0 * ham.mass * dy ** 2)
+        cn = _CrankNicolson(n, dy, HamiltonianSpec("fd"), dt)
+        lam = dt / 2.0
+        kappa = 1.0 / (2.0 * dy ** 2)
         off = np.full(n - 1, -kappa)
         ab = np.zeros((3, n), dtype=complex)
         ab[0, 1:] = 1j * lam * off
@@ -211,20 +200,20 @@ class TestEvolution:
         _check_lapack("zgttrs", 0)
 
     def test_second_order_grid_refinement(self):
-        # moving packet: <y>(T) = y0 + (hbar k0 / m) T for the exact dynamics;
+        # moving packet: <y>(T) = y0 + k0 T for the exact dynamics (hbar = m = 1);
         # the tridiagonal kinetic term underestimates the group velocity at
         # O(dy^2), so halving (dy, dt) should shrink the error ~4x
-        hbar, mass, k0, t_final = 1.0, 1.0, 2.0, 0.5
+        k0, t_final = 2.0, 0.5
         errs = []
         for n in (256, 512):
             y = grid(n=n, half_width=20.0)
             psi = gaussian_packet(y, y0=-3.0, sigma=1.5, k0=k0)
-            ham = HamiltonianSpec("fd", mass=mass, hbar=hbar)
+            ham = HamiltonianSpec("fd")
             steps = int(t_final / (2e-3 * 256 / n))
             out = evolve(psi, ham, TimeScaling.constant(0.0), dt=t_final / steps, n_steps=steps)
             dens = out.probability_density()
             mean = float(np.sum(dens * out.y) * out.dy)
-            errs.append(abs(mean - (-3.0 + hbar * k0 / mass * t_final)))
+            errs.append(abs(mean - (-3.0 + k0 * t_final)))
         ratio = errs[0] / errs[1]
         assert 2.5 <= ratio <= 6.0
 
@@ -247,7 +236,7 @@ class TestSubstepBasis:
     @pytest.mark.parametrize("every", [1, 7, 20])
     @pytest.mark.parametrize("scaling", SCALINGS.values(), ids=SCALINGS.keys())
     def test_spectral_evolve_matches_the_position_space_loop(self, scaling, every):
-        ham = HamiltonianSpec("spectral", mass=0.8, hbar=1.1)
+        ham = HamiltonianSpec("spectral")
         want = reference_steps(self.packet(), ham, scaling, self.DT, self.N_STEPS)
         out, seen = self.observed_run(ham, scaling, every=every)
         assert [i for i, _, _ in seen] == list(range(every, self.N_STEPS + 1, every))
@@ -260,7 +249,7 @@ class TestSubstepBasis:
     @pytest.mark.parametrize("every", [None, 1, 7])
     @pytest.mark.parametrize("scaling", SCALINGS.values(), ids=SCALINGS.keys())
     def test_fd_evolve_is_the_position_space_loop_bit_for_bit(self, scaling, every):
-        ham = HamiltonianSpec("fd", mass=0.8, hbar=1.1)
+        ham = HamiltonianSpec("fd")
         want = reference_steps(self.packet(), ham, scaling, self.DT, self.N_STEPS)
         out, seen = self.observed_run(ham, scaling, **({} if every is None else {"every": every}))
         assert [i for i, _, _ in seen] == list(range(every or 1, self.N_STEPS + 1, every or 1))
@@ -271,7 +260,7 @@ class TestSubstepBasis:
 
     @pytest.mark.parametrize("kind", ["spectral", "fd"])
     def test_one_step_without_a_cached_substep(self, kind):
-        ham = HamiltonianSpec(kind, mass=0.8, hbar=1.1)
+        ham = HamiltonianSpec(kind)
         scaling = SCALINGS["varying"]
         psi = self.packet()
         (t, want), = reference_steps(psi, ham, scaling, self.DT, 1)
@@ -294,7 +283,7 @@ class TestSubstepBasis:
     @pytest.mark.parametrize("scaling", SCALINGS.values(), ids=SCALINGS.keys())
     @pytest.mark.parametrize("kind", ["spectral", "fd"])
     def test_step_is_the_damping_times_the_substep_bit_for_bit(self, kind, scaling):
-        ham = HamiltonianSpec(kind, mass=0.8, hbar=1.1)
+        ham = HamiltonianSpec(kind)
         psi = self.packet()
         cn = _CrankNicolson(psi.psi.size, psi.dy, ham, self.DT)
         state = cn.into(psi)
@@ -361,11 +350,11 @@ class TestPositionExpectation:
 def effective_energy(rate, hbar, dt=1e17):
     """E + i hbar A, the plane-wave energy seen by the covariant time
     derivative, read off one step on the zero-energy plane wave: its constant
-    amplitudes come back times e^{-i E dt / hbar} e^{-A dt}."""
+    amplitudes come back times e^{-i E dt / hbar} e^{-A dt}. The solver works
+    in hbar = 1; the energy is scaled to ``hbar`` here."""
     n = 64
     psi = WaveFunction1D(grid(n=n, half_width=2.0), np.full(n, 0.5 + 0.0j))
-    out = evolve(psi, HamiltonianSpec("spectral", hbar=hbar), TimeScaling.constant(rate),
-                 dt, 1)
+    out = evolve(psi, HamiltonianSpec("spectral"), TimeScaling.constant(rate), dt, 1)
     log = np.log(out.psi / psi.psi)
     return hbar * (-log.imag - 1j * log.real) / dt
 
