@@ -51,27 +51,25 @@ class AlphaField:
     float, or takes an ``(N, 4)`` array of points and returns an ``(N,)``
     array whose row i equals the call on point i, bit for bit.
     ``gradient(p)`` takes one point and returns a 4-vector. Subclasses
-    implement ``_alpha_rows(rows)`` on an ``(N, 4)`` array whose rows are
-    finite and inside the domain.
+    implement three hooks: ``_alpha_rows(rows)`` on an ``(N, 4)`` array whose
+    rows are finite and inside the domain, and ``_point_alpha(x)`` and
+    ``_point_gradient(x)`` on one point.
 
     A single point is checked on Python floats and handed to the one-point
-    hooks ``_point_alpha(x)`` and ``_point_gradient(x)`` as ``x``, a list of 4
-    finite floats inside the domain. A list of 4 Python floats is checked
-    as it is; any other point goes through ``np.asarray(p, dtype=float)``
-    first, so a list and an array of the same point give the same result
-    or the same error. The hooks return a float equal to row 0 of
-    ``_alpha_rows`` on ``np.array([x])`` and a new float array of shape (4,);
-    the defaults here compute that row and the finite-difference
-    :meth:`_stencil_gradient`. A subclass overrides ``_point_alpha`` only to
-    skip the batch machinery, and ``_point_gradient`` where it has its own
-    gradient; a hook that needs an array builds its own from ``x``.
+    hooks as ``x``, a list of 4 finite floats inside the domain. A list of 4
+    Python floats is checked as it is; any other point goes through
+    ``np.asarray(p, dtype=float)`` first, so a list and an array of the same
+    point give the same result or the same error. The hooks return a float
+    equal to row 0 of ``_alpha_rows`` on ``np.array([x])`` and a new float
+    array of shape (4,); a hook that needs an array builds its own from ``x``,
+    and one without its own gradient returns :meth:`_stencil_gradient`.
 
-    ``domain`` is an optional axis-aligned box (lo, hi), each a 4-vector;
-    None means unbounded.
+    ``domain`` is an axis-aligned box (lo, hi), each a 4-vector, set by
+    :class:`GridField` only; None means unbounded.
     """
 
     domain: tuple[np.ndarray, np.ndarray] | None = None
-    fd_scale: float = 1e-5  # finite-difference step, relative to domain extent
+    fd_scale: float = 1e-5  # finite-difference step, relative to max(1, |p|)
 
     def alpha(self, p) -> float | np.ndarray:
         if not (type(p) is list and len(p) == 4
@@ -90,15 +88,6 @@ class AlphaField:
                 raise ValueError(
                     f"gradient takes one spacetime point of shape (4,), got {p.shape}")
         return self._point_gradient(self._point(p))
-
-    def _point_alpha(self, x: list) -> float:
-        return float(self._alpha_rows(np.array([x]))[0])
-
-    def _point_gradient(self, x: list) -> np.ndarray:
-        return self._stencil_gradient(np.array(x))
-
-    def _alpha_rows(self, rows: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------
 
@@ -134,13 +123,7 @@ class AlphaField:
         return rows
 
     def _fd_steps(self, p: np.ndarray) -> np.ndarray:
-        steps = self.fd_scale * np.maximum(1.0, np.abs(p))
-        if self.domain is not None:
-            lo, hi = self.domain
-            extent = hi - lo
-            bounded = np.isfinite(extent)
-            steps[..., bounded] = self.fd_scale * np.maximum(extent[bounded], 1.0)
-        return steps
+        return self.fd_scale * np.maximum(1.0, np.abs(p))
 
     def _stencil_gradient(self, p: np.ndarray) -> np.ndarray:
         """Finite differences at the point ``p`` from one ``_alpha_rows`` call
@@ -174,12 +157,9 @@ class AlphaField:
 class AnalyticField(AlphaField):
     """Field given by a callable alpha(p), with an optional analytic gradient."""
 
-    def __init__(self, alpha_fn: Callable, grad_fn: Callable | None = None, domain=None):
+    def __init__(self, alpha_fn: Callable, grad_fn: Callable | None = None):
         self._alpha_fn = alpha_fn
         self._grad_fn = grad_fn
-        if domain is not None:
-            lo, hi = (np.asarray(domain[0], dtype=float), np.asarray(domain[1], dtype=float))
-            self.domain = (lo, hi)
 
     def _alpha_rows(self, rows):
         return np.fromiter(map(self._alpha_fn, rows), float, len(rows))
@@ -350,17 +330,6 @@ class GridField(AlphaField):
             write_csv(fh, ["axis_sizes", *self._samples.shape],
                       [["h_per_axis", *self._spacing], ["origin", *self._origin]])
             write_column(fh, self._samples.ravel())
-
-
-class TimeOnlyField(AnalyticField):
-    """alpha depends on coordinate time only: alpha(p) = alpha_t(p[0])."""
-
-    def __init__(self, alpha_t: Callable, rate_t: Callable | None = None, t_domain=None):
-        grad = None if rate_t is None else (lambda p: (rate_t(p[0]), 0.0, 0.0, 0.0))
-        domain = None if t_domain is None else (
-            spacetime_point(t_domain[0], -np.inf, -np.inf, -np.inf),
-            spacetime_point(t_domain[1], np.inf, np.inf, np.inf))
-        super().__init__(lambda p: alpha_t(p[0]), grad, domain)
 
 
 # -- operations -----------------------------------------------------------

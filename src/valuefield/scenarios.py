@@ -424,6 +424,8 @@ def _cosmology_consistency(p: dict) -> list[str]:
     s_rm, s_de, t_now = _era_seconds(p)  # ordered in seconds, as build_alpha_profile needs
     if s_rm >= s_de:
         diags.append("cosmology.s_rm_kyr: must precede s_de_gyr")
+    elif s_rm / s_de == 0.0:  # the matter segment's log(s_rm / s_de) has no value
+        diags.append(f"cosmology.s_rm_kyr: s_rm / s_de underflows to 0, got {p['s_rm_kyr']!r}")
     if s_de >= t_now:
         diags.append("cosmology.s_de_gyr: must precede t_now_gyr")
     if diags:

@@ -215,11 +215,14 @@ class TestExitCodes:
          "cosmology.s_rm_kyr: must precede s_de_gyr"),
         (["cosmology.t_now_gyr=10.892572949232882", "cosmology.s_de_gyr=10.89257294923288"],
          "cosmology.s_de_gyr: must precede t_now_gyr"),
-    ], ids=["s_rm-rounds-onto-s_de", "s_de-rounds-onto-t_now"])
+        (["cosmology.s_rm_kyr=1e-320"],
+         "cosmology.s_rm_kyr: s_rm / s_de underflows to 0, got 1e-320"),
+    ], ids=["s_rm-rounds-onto-s_de", "s_de-rounds-onto-t_now", "s_rm-over-s_de-underflows"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_era_boundaries_equal_in_seconds_are_a_config_error(self, tmp_path, capsys,
                                                                  command, overrides, diag):
-        # distinct in kyr and Gyr, equal once converted to the seconds the profile is built in
+        # distinct in kyr and Gyr, equal (or at a ratio that underflows to 0) once
+        # converted to the seconds the profile is built in
         argv = [command, str(write_config(tmp_path, "cosmology"))]
         argv += [arg for item in overrides for arg in ("--set", item)]
         if command == "run":

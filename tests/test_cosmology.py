@@ -22,7 +22,7 @@ from valuefield.cosmology import (
     vacuum_rate,
 )
 from valuefield.errors import InvalidBoundaries, OutOfRange
-from valuefield.field import TimeOnlyField, spacetime_point
+from valuefield.field import AnalyticField, spacetime_point
 from valuefield.scenarios import run_scenario
 
 
@@ -402,7 +402,8 @@ class TestProfileAsField:
     def test_field_view_matches_profile(self):
         params = CosmologyParams()
         prof = build_alpha_profile(params, 50e3 * YEAR_S, 10 * GYR_S)
-        fld = TimeOnlyField(prof.alpha, prof.slope, t_domain=(0.0, prof.t_now))
+        fld = AnalyticField(lambda p: prof.alpha(p[0]),
+                            lambda p: (prof.slope(p[0]), 0.0, 0.0, 0.0))
         for s in (1e6 * YEAR_S, 5 * GYR_S, 13 * GYR_S):
             p = spacetime_point(s, 1.0, -2.0, 3.0)
             assert fld.alpha(p) == prof.alpha(s)
@@ -413,7 +414,8 @@ class TestProfileAsField:
     def test_field_view_in_bound_check(self):
         params = CosmologyParams()
         prof = linear_hubble_profile(params)
-        fld = TimeOnlyField(prof.alpha, prof.slope, t_domain=(0.0, prof.t_now))
+        fld = AnalyticField(lambda p: prof.alpha(p[0]),
+                            lambda p: (prof.slope(p[0]), 0.0, 0.0, 0.0))
         t = prof.t_now
         region = (spacetime_point(t - 499.0, -1e9, -1e9, -1e9),
                   spacetime_point(t, 1e9, 1e9, 1e9))

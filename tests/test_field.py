@@ -11,7 +11,6 @@ from valuefield.field import (
     AnalyticField,
     ConstantField,
     GridField,
-    TimeOnlyField,
     _quad_nodes,
     covariant_derivative,
     scaled_integral,
@@ -45,7 +44,7 @@ class TestAlphaAt:
 
     def test_hubble_profile_vanishes_now(self):
         t_now = 4.35e17
-        fld = TimeOnlyField(lambda s: H0_PER_S * (t_now - s))
+        fld = AnalyticField(lambda p: H0_PER_S * (t_now - p[0]))
         assert fld.alpha(spacetime_point(t_now)) == 0.0
 
     def test_grid_interpolation_identity_at_nodes(self):
@@ -82,7 +81,7 @@ class TestGradientAt:
 
     def test_hubble_rate(self):
         t_now = 4.35e17
-        fld = TimeOnlyField(lambda s: H0_PER_S * (t_now - s))
+        fld = AnalyticField(lambda p: H0_PER_S * (t_now - p[0]))
         g = fld.gradient(spacetime_point(t_now / 2))
         assert g[0] == pytest.approx(-H0_PER_S, rel=1e-6)
         assert np.all(g[1:] == 0.0)
@@ -99,11 +98,14 @@ class TestGradientAt:
         order = math.log(errs[0] / errs[2]) / math.log(4.0)
         assert order >= 1.9
 
-    def test_one_sided_at_boundary(self):
-        dom = (spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))
-        fld = AnalyticField(lambda p: 0.3 * p[1] ** 2, domain=dom)
-        g = fld.gradient(spacetime_point(0, 1.0))
-        assert g[1] == pytest.approx(0.6, rel=1e-6)
+    def test_grid_field_one_sided_at_walls_is_second_order(self):
+        # 0.3 x^2 on 5 x-nodes over [-1, 1]: the second-order one-sided
+        # differences are exact on a quadratic, a first-order one is off by h
+        x = np.linspace(-1.0, 1.0, 5)
+        fld = GridField(np.broadcast_to(0.3 * x[:, None, None] ** 2, (2, 5, 2, 2)),
+                        (0, -1, 0, 0), (1, 0.5, 1, 1))
+        assert fld.gradient(spacetime_point(0, -1.0))[1] == pytest.approx(-0.6, abs=1e-12)
+        assert fld.gradient(spacetime_point(0, 1.0))[1] == pytest.approx(0.6, abs=1e-12)
 
     def test_grid_field_linear_gradient_everywhere(self):
         # linear samples: interpolation and both stencils are exact
@@ -157,15 +159,15 @@ FIELDS = {
     "grid-inexact": _grid_with_inexact_spacing(),
     # every product is -0.0, and so is a corner sum that starts from corner 0's term
     "grid-signed-zero": GridField(np.full((3, 5, 4, 4), -0.0), BOX[0], (0.5, 0.0625, 1.0, 0.5)),
-    "analytic-fd": AnalyticField(lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]), domain=BOX),
+    "analytic-fd": AnalyticField(lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2])),
     "analytic-grad": AnalyticField(
         lambda p: math.sin(p @ [0.1, 0.7, -0.3, 0.2]),
         lambda p: np.cos(p @ [0.1, 0.7, -0.3, 0.2]) * np.array([0.1, 0.7, -0.3, 0.2])),
     "constant": ConstantField(0.4),
     "constant-int": ConstantField(0),
     "constant-nan": ConstantField(float("nan")),
-    "time-only-fd": TimeOnlyField(lambda s: 0.2 * s ** 2, t_domain=(0.0, 1.0)),
-    "time-only-rate": TimeOnlyField(lambda s: 0.2 * s ** 2, lambda s: 0.4 * s),
+    "time-only-rate": AnalyticField(lambda p: 0.2 * p[0] ** 2,
+                                    lambda p: (0.4 * p[0], 0.0, 0.0, 0.0)),
 }
 
 
@@ -530,7 +532,7 @@ class TestCovariantDerivative:
 
     def test_temporal_axis_uses_stored_rate(self):
         a0 = 0.05
-        fld = TimeOnlyField(lambda s: a0 * s, lambda s: a0)
+        fld = AnalyticField(lambda p: a0 * p[0], lambda p: (a0, 0.0, 0.0, 0.0))
         out = covariant_derivative(lambda p: 1.0, fld, spacetime_point(2.0), 0)
         assert out == pytest.approx(a0, rel=1e-12)
 
@@ -630,18 +632,6 @@ def test_grid_state_is_read_only(name, value):
         fld.alpha(spacetime_point(1.5, 0.5, 0.5, 0.5))
 
 
-class _RowsOnly(AlphaField):
-    """A field with only ``_alpha_rows``: the base class's one-point hooks."""
-
-    domain = BOX
-
-    def _alpha_rows(self, rows):
-        return np.cos(rows @ [0.3, -0.2, 0.5, 0.1])
-
-
-LIST_FIELDS = {**FIELDS, "rows-only": _RowsOnly()}
-
-
 def _outcome(call, p):
     """What ``call(p)`` gives: ("ok", its type and bytes) or (error type, message)."""
     try:
@@ -651,7 +641,7 @@ def _outcome(call, p):
     return "ok", type(out), np.asarray(out).tobytes()
 
 
-@pytest.mark.parametrize("fld", LIST_FIELDS.values(), ids=LIST_FIELDS.keys())
+@pytest.mark.parametrize("fld", FIELDS.values(), ids=FIELDS.keys())
 def test_float_list_point_equals_array_point(fld):
     rng = np.random.default_rng(29)
     lo, hi = BOX
@@ -667,7 +657,7 @@ def test_float_list_point_equals_array_point(fld):
         assert type(fld.alpha(x)) is float
 
 
-@pytest.mark.parametrize("fld", LIST_FIELDS.values(), ids=LIST_FIELDS.keys())
+@pytest.mark.parametrize("fld", FIELDS.values(), ids=FIELDS.keys())
 def test_list_point_errors_equal_array_point_errors(fld):
     lo, hi = BOX
     mid = (lo + 0.5 * (hi - lo)).tolist()
@@ -687,7 +677,7 @@ def test_list_point_errors_equal_array_point_errors(fld):
             assert kind != "ok" and (kind, message) == _outcome(call, np.array(x))
 
 
-@pytest.mark.parametrize("fld", LIST_FIELDS.values(), ids=LIST_FIELDS.keys())
+@pytest.mark.parametrize("fld", FIELDS.values(), ids=FIELDS.keys())
 def test_finite_coordinates_whose_sum_overflows_are_finite(fld):
     # the one-point check sums the coordinates; a sum that overflows must fall
     # back to the array checks, which accept the point or refuse it by domain
@@ -700,7 +690,7 @@ def test_finite_coordinates_whose_sum_overflows_are_finite(fld):
     assert ((lo <= x) & (x <= hi)).all() == (_outcome(fld.alpha, x.tolist())[0] == "ok")
 
 
-@pytest.mark.parametrize("fld", LIST_FIELDS.values(), ids=LIST_FIELDS.keys())
+@pytest.mark.parametrize("fld", FIELDS.values(), ids=FIELDS.keys())
 def test_list_point_of_ints_equals_its_float_array(fld):
     # ints, and floats mixed with ints, NumPy floats or bools, convert as np.asarray does
     points = [[0, -1, 1, 0], [1, -1, 3, 1], [0.5, -1, 2, np.float64(0.75)], [0, 0, 0, 0],

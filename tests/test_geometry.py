@@ -8,7 +8,7 @@ from scipy.interpolate import CubicSpline
 from valuefield import geometry
 from valuefield.errors import InvalidEnergy, LeftDomain, OutOfDomain, StepUnstable
 from valuefield.field import (AlphaField, AnalyticField, ConstantField, GridField,
-                              TimeOnlyField, spacetime_point)
+                              spacetime_point)
 from valuefield.geometry import (
     ETA,
     GeodesicState,
@@ -398,7 +398,8 @@ class TestIntegrateGeodesic:
 
     @pytest.mark.parametrize("fld, c, step", [
         (ConstantField(0.7), C_DESK, 1e-2),
-        (TimeOnlyField(lambda t: 2e3 * t, lambda t: 2e3), 299792458.0, 1e-7),
+        (AnalyticField(lambda p: 2e3 * p[0], lambda p: (2e3, 0.0, 0.0, 0.0)), 299792458.0,
+         1e-7),
     ], ids=["constant", "time-only"])
     def test_bit_equal_to_numpy_rk4_with_one_gradient_component(self, fld, c, step):
         beta = np.array([0.3, 0.2, -0.1])
@@ -451,8 +452,7 @@ class TestIntegrateGeodesic:
         assert traj.norm_drift == 0.0
 
     def test_leaves_domain(self):
-        dom = (spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))
-        fld = AnalyticField(lambda p: 0.0, lambda p: np.zeros(4), domain=dom)
+        fld = GridField(np.zeros((3, 3, 3, 3)), (-1,) * 4, (1,) * 4)  # the box [-1, 1]^4
         init = GeodesicState(spacetime_point(), np.array([C_DESK, 1.0, 0, 0]))
         with pytest.raises(LeftDomain, match="geodesic trajectory left the field domain: point"):
             integrate_geodesic(fld, init, IntegratorConfig(step=0.1, span=10.0), C_DESK)
@@ -529,7 +529,7 @@ class TestCoordinateTime:
 
     def test_particle_that_cannot_climb_is_invalid_energy(self):
         # a rest particle in a rising alpha(t) loses energy below its rest energy
-        fld = TimeOnlyField(lambda t: 1e-2 * t, lambda t: 1e-2)
+        fld = AnalyticField(lambda p: 1e-2 * p[0], lambda p: (1e-2, 0.0, 0.0, 0.0))
         with pytest.raises(InvalidEnergy, match="gamma"):
             integrate_coordinate(fld, spacetime_point(), np.zeros(3), ParticleSpec(1.0, 10.0),
                                  IntegratorConfig(step=0.1, span=1.0))
@@ -541,7 +541,7 @@ class TestCoordinateTime:
 
     @pytest.mark.parametrize("gamma", [math.nan, 0.5, math.inf])
     def test_gamma_not_finite_and_at_least_one_is_invalid_energy(self, gamma):
-        fld = TimeOnlyField(lambda t: 1e-2 * t, lambda t: 1e-2)
+        fld = AnalyticField(lambda p: 1e-2 * p[0], lambda p: (1e-2, 0.0, 0.0, 0.0))
         with pytest.raises(InvalidEnergy, match=f"gamma = {gamma!r}"):
             coordinate_time_rhs(fld, spacetime_point(), [C_DESK, 0, 0, 0], gamma,
                                 ParticleSpec(1.0, C_DESK))
@@ -567,8 +567,7 @@ class TestCoordinateTime:
                                  ParticleSpec(1.0, C_DESK), IntegratorConfig(step=0.1, span=1.0))
 
     def test_leaves_domain(self):
-        dom = (spacetime_point(-1, -1, -1, -1), spacetime_point(1, 1, 1, 1))
-        fld = AnalyticField(lambda p: 0.0, lambda p: np.zeros(4), domain=dom)
+        fld = GridField(np.zeros((3, 3, 3, 3)), (-1,) * 4, (1,) * 4)  # the box [-1, 1]^4
         with pytest.raises(LeftDomain):
             integrate_coordinate(fld, spacetime_point(), np.array([0.5, 0, 0]),
                                  ParticleSpec(1.0, C_DESK), IntegratorConfig(step=0.1, span=10.0))
