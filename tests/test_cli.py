@@ -312,6 +312,14 @@ class TestOverridesAndEnv:
         cfg = write_config(tmp_path, "cosmology", {"h0_kms_mpc": "67"})
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_radiation_boundary_above_the_ratio_underflow_runs(self, tmp_path, command):
+        # s_rm / s_de is about 3.2e-305 s over 3.2e17 s: 1e-322, subnormal but above 0
+        argv = [command, str(write_config(tmp_path, "cosmology", {"s_rm_kyr": "1e-315"}))]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+
     def test_old_universe_below_the_density_overflow_runs(self, tmp_path):
         # at H0 = 70 the first alpha_profile.csv density overflows near 2.37e3 Gyr
         cfg = write_config(tmp_path, "cosmology", {"t_now_gyr": "2e3"})

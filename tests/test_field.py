@@ -98,7 +98,7 @@ class TestGradientAt:
         order = math.log(errs[0] / errs[2]) / math.log(4.0)
         assert order >= 1.9
 
-    def test_grid_field_one_sided_at_walls_is_second_order(self):
+    def test_one_sided_at_boundary(self):
         # 0.3 x^2 on 5 x-nodes over [-1, 1]: the second-order one-sided
         # differences are exact on a quadratic, a first-order one is off by h
         x = np.linspace(-1.0, 1.0, 5)
@@ -106,6 +106,12 @@ class TestGradientAt:
                         (0, -1, 0, 0), (1, 0.5, 1, 1))
         assert fld.gradient(spacetime_point(0, -1.0))[1] == pytest.approx(-0.6, abs=1e-12)
         assert fld.gradient(spacetime_point(0, 1.0))[1] == pytest.approx(0.6, abs=1e-12)
+
+    def test_step_is_relative_to_max_one_abs_p(self):
+        # a field without a domain steps fd_scale on |p_mu| <= 1, fd_scale |p_mu| past it
+        fld = AnalyticField(lambda p: 0.0)
+        h = fld._fd_steps(np.array([0.5, -3.0, 0.0, 1e3]))
+        assert np.array_equal(h, fld.fd_scale * np.array([1.0, 3.0, 1.0, 1e3]))
 
     def test_grid_field_linear_gradient_everywhere(self):
         # linear samples: interpolation and both stencils are exact
@@ -166,6 +172,7 @@ FIELDS = {
     "constant": ConstantField(0.4),
     "constant-int": ConstantField(0),
     "constant-nan": ConstantField(float("nan")),
+    "time-only-fd": AnalyticField(lambda p: 0.2 * p[0] ** 2),
     "time-only-rate": AnalyticField(lambda p: 0.2 * p[0] ** 2,
                                     lambda p: (0.4 * p[0], 0.0, 0.0, 0.0)),
 }
