@@ -12,8 +12,7 @@ other columns are ``repr``'d value by value, and the columns are joined
 with ``,`` row by row, each row ending with csv's line terminator. csv
 writes a float as its ``repr`` and never quotes one, so the bytes are the
 same. Each block is one ``write``, so the text of a whole table is never
-held at once. :func:`write_column` writes a float array one value per line,
-the same bytes as a table of one column, in blocks the same way.
+held at once.
 """
 
 from __future__ import annotations
@@ -45,16 +44,16 @@ def write_csv(target, header, rows) -> None:
     writer = csv.writer(target)
     writer.writerow(header)
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
-        _write_floats(target, rows)
+        write_floats(target, rows)
     else:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _write_floats(target, rows: np.ndarray) -> None:
-    """The rows of a 2-D float64 array, ``_BLOCK`` rows to one ``write``,
-    formatted column by column. Each run of adjacent columns whose values
-    share one bit pattern (so 0.0 and -0.0 differ) is ``repr``'d once, as
-    one text, and repeated; the other columns are ``repr``'d per value."""
+def write_floats(target, rows: np.ndarray) -> None:
+    """The rows of a 2-D float64 array, no header, ``_BLOCK`` rows to one ``write``,
+    formatted by column. Each run of adjacent columns whose values share one
+    bit pattern (so 0.0 and -0.0 differ) is ``repr``'d once, as one text, and
+    repeated; the other columns are ``repr``'d per value."""
     if not len(rows):
         return
     bits = rows.view(np.int64)
@@ -75,12 +74,5 @@ def _write_floats(target, rows: np.ndarray) -> None:
         # varying column to stop zip
         cols = [map(repr, next(values)) if part is None else itertools.repeat(part, len(block))
                 for part in parts]
-        target.write(_END.join(map(",".join, zip(*cols))) + _END)
-
-
-def write_column(target, values) -> None:
-    """Write the 1-D float array ``values`` to the open text handle
-    ``target``, one ``repr`` per line, a block of Python floats to one
-    ``write``."""
-    for start in range(0, len(values), _BLOCK):
-        target.write(_END.join(map(repr, values[start:start + _BLOCK].tolist())) + _END)
+        lines = cols[0] if len(cols) == 1 else map(",".join, zip(*cols))  # one column: no join
+        target.write(_END.join(lines) + _END)

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._csv import write_column, write_csv
+from ._csv import write_csv, write_floats
 from .errors import NonFiniteIntegrand, OutOfDomain
 
 
@@ -329,7 +329,7 @@ class GridField(AlphaField):
         with open(path, "w", newline="") as fh:
             write_csv(fh, ["axis_sizes", *self._samples.shape],
                       [["h_per_axis", *self._spacing], ["origin", *self._origin]])
-            write_column(fh, self._samples.ravel())
+            write_floats(fh, self._samples.reshape(-1, 1))
 
 
 # -- operations -----------------------------------------------------------

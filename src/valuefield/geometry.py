@@ -1,13 +1,17 @@
 """Geodesics and particle energy evolution in the alpha-scaled geometry.
 
-The metric is the flat diag(-1, 1, 1, 1) tensor times the transport factor
-e^{-alpha(x_ref)+alpha(y)}; the geometry is flat iff alpha is constant. For a
-diagonal metric the geodesic equation reduces to
+``metric_at`` gives the flat diag(-1, 1, 1, 1) tensor times the transport
+factor e^{alpha(y)-alpha(x_ref)}; the geometry is flat iff alpha is constant.
+The equation of motion is
 
     du^mu/dtau = -(A . u) u^mu + (1/2) etainv_mu A_mu * q2,
 
 with A the gradient of alpha in per-meter units, no sum over mu in the second
 term, and q2 = (u^0)^2 - |u_spatial|^2 (c^2 on massive paths, 0 on null ones).
+It is the Levi-Civita geodesic equation not of that metric but of
+e^{alpha(x_ref)-alpha(y)} eta (``metric_at`` with its arguments swapped), plus
+-2 (A . u) u^mu: that metric's geodesics at a non-affine parameter, which keep
+e^{3 alpha} eta(u, u) constant.
 Positions are (t [s], x, y, z [m]); 4-velocities are in m/s with u^0 = c dt/dtau.
 
 Unit convention (single place, used by every formula below): the stored

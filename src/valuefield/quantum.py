@@ -105,10 +105,6 @@ class TimeScaling:
     def constant(cls, a0: float) -> "TimeScaling":
         return cls(alpha=lambda t: a0 * t)
 
-    def damping_exponent(self, t0: float, t1: float) -> float:
-        """int_{t0}^{t1} A dt, exact as alpha(t1) - alpha(t0)."""
-        return self.alpha(t1) - self.alpha(t0)
-
 
 class _CrankNicolson:
     """Cached unitary substep for a fixed (grid, Hamiltonian, dt).
@@ -177,7 +173,7 @@ def schrodinger_step(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeSca
     """One step of i hbar (d/dt + A(t)) psi = H psi with the substep ``cn``
     built from ``ham`` and ``dt``, in ``cn``'s basis (Fourier amplitudes for
     spectral, see :meth:`_CrankNicolson.into`) on the way in and out."""
-    damping = math.exp(-scaling.damping_exponent(psi.t, psi.t + dt))
+    damping = math.exp(-(scaling.alpha(psi.t + dt) - scaling.alpha(psi.t)))
     out = cn.apply(psi.psi)  # a fresh array on both paths, so it is damped in place
     out *= damping
     if not np.isfinite(out).all():

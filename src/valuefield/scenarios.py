@@ -24,9 +24,9 @@ from . import field as vfield
 from . import geometry as geo
 from . import quantum as qm
 from . import scaled_numbers as sn
-from ._csv import write_csv
+from ._csv import _END, write_csv
 from .constants import C_M_PER_S, CONSTANTS_TABLE, GYR_S, YEAR_S
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, InvalidBoundaries
 
 
 @dataclass
@@ -66,7 +66,7 @@ class RunReport:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             for name, value in CONSTANTS_TABLE:
-                fh.write(f"# {name},{value!r}\n")
+                fh.write(f"# {name},{value!r}{_END}")
             write_csv(fh, ["name", "expected", "measured", "tolerance", "pass"],
                       ((c.name, c.expected, c.measured, c.tolerance, c.passed)
                        for c in self.checks))
@@ -269,18 +269,20 @@ def _lorentz_factor(beta: float) -> float:
 
 
 def _geodesic_consistency(p: dict) -> list[str]:
-    """The integrator's drift monitor squares u^0 = gamma c as a Python float."""
+    """The integrator's drift monitor squares u^0 = gamma c as a Python float;
+    its step span_tau / steps must not underflow to 0."""
     u0, top = _lorentz_factor(p["beta"]) * p["c"], math.sqrt(sys.float_info.max)
-    if u0 <= top:
-        return []
-    return [f"geodesic.c: u0^2 overflows; needs c / sqrt(1 - beta^2) <= {top!r}, got {u0!r}"]
+    diags = [] if u0 <= top else [
+        f"geodesic.c: u0^2 overflows; needs c / sqrt(1 - beta^2) <= {top!r}, got {u0!r}"]
+    if p["span_tau"] / p["steps"] == 0.0:
+        diags.append(f"geodesic.span_tau: span_tau / steps underflows to 0, got {p['span_tau']!r}")
+    return diags
 
 
 @_scenario("geodesic", {
     "c": Param(float, "299792458.0", *_POSITIVE),
     "steps": Param(int, "10000", *_POSITIVE),
     "beta": Param(float, "0.3", lambda v: 0 <= v < 1, "must lie in [0, 1)"),
-    "alpha_const": Param(float, "0.4"),
     "span_tau": Param(float, "1e-4", *_POSITIVE),
     "mass": Param(float, "1.0", *_POSITIVE),
 })
@@ -295,7 +297,7 @@ def scenario_geodesic(p: dict, out_dir: Path) -> RunReport:
         np.array([gamma * c, gamma * beta * c, 0.0, 0.0]),
     )
     cfg_int = geo.IntegratorConfig(step=span / p["steps"], span=span)
-    fld = vfield.ConstantField(p["alpha_const"])
+    fld = vfield.ConstantField(0.4)  # any constant: a zero gradient, a monitor factor 1
     traj = geo.integrate_geodesic(fld, init, cfg_int, c)
     straight = init.p[1] + init.u[1] * traj.tau
     dev = float(np.max(np.abs(traj.p[:, 1] - straight)))
@@ -432,7 +434,10 @@ def _cosmology_consistency(p: dict) -> list[str]:
         return diags
     exponent, top = math.inf, math.log(sys.float_info.max)
     if t_now < math.inf:
-        _, profile = _cosmology_model(p)
+        try:
+            _, profile = _cosmology_model(p)
+        except (InvalidBoundaries, OverflowError) as exc:  # a rate too large to stitch
+            return [f"cosmology.h0_kms_mpc: no alpha profile: {type(exc).__name__}: {exc}"]
         exponent = 4.0 * profile.alpha_diff(_profile_csv_start(profile), profile.t_now)
     if not exponent <= top:  # NaN fails too
         diags.append(f"cosmology.t_now_gyr: alpha_profile.csv densities overflow; "

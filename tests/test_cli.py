@@ -99,6 +99,12 @@ class TestValidate:
         diags = validate_config(cfg)
         assert any("bound-check.volume" in d and "unknown" in d for d in diags)
 
+    def test_geodesic_alpha_const_is_an_unknown_key(self, tmp_path, capsys):
+        # a constant alpha changes no output, so the scenario takes none
+        cfg = write_config(tmp_path, "geodesic")
+        assert main(["validate", str(cfg), "--set", "geodesic.alpha_const=0.4"]) == 2
+        assert capsys.readouterr().out.splitlines() == ["geodesic.alpha_const: unknown key"]
+
 
 class TestExitCodes:
     def test_run_passes(self, tmp_path, capsys):
@@ -185,7 +191,7 @@ class TestExitCodes:
         ("geodesic", "geodesc.steps=0", 2),            # misspelt section
         ("bound-check", "scenario.nmae=x", 2),         # misspelt key
         ("geodesic", "geodesic.c=-1", 2),
-        ("geodesic", "geodesic.alpha_const=nan", 2),
+        ("schrodinger", "schrodinger.a0=nan", 2),
         ("cosmology", "cosmology.h0_kms_mpc=inf", 2),
         ("cosmology", "cosmology.s_rm_kyr=-1", 2),
         ("bound-check", "bound-check.window_s=1e30", 2),
@@ -231,6 +237,29 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [
             diag if command == "validate" else f"config error: {diag}"]
+
+    @pytest.mark.parametrize("scenario, override, diag", [
+        *(("cosmology", f"cosmology.h0_kms_mpc={h0}", "cosmology.h0_kms_mpc: ")
+          for h0 in ("1e170", "1e174", "1e200", "1e300")),  # the profile cannot be built
+        ("cosmology", "cosmology.h0_kms_mpc=1e160", "cosmology.t_now_gyr: "),
+        ("geodesic", "geodesic.span_tau=1e-320",
+         "geodesic.span_tau: span_tau / steps underflows to 0, got 1e-320"),
+    ], ids=["h0=1e170", "h0=1e174", "h0=1e200", "h0=1e300", "h0=1e160", "span_tau=1e-320"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_model_that_cannot_be_set_up_is_a_config_error(self, tmp_path, capsys, command,
+                                                           scenario, override, diag):
+        argv = [command, str(write_config(tmp_path, scenario)), "--set", override]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = (captured.out + captured.err).splitlines()
+        assert line.startswith(diag if command == "validate" else f"config error: {diag}")
+
+    def test_geodesic_subnormal_step_runs(self, tmp_path):
+        # span_tau / steps = 1e-314: subnormal, but a step
+        cfg = write_config(tmp_path, "geodesic", {"span_tau": "1e-310"})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("scenario, override", [
         ("geodesic", "geodesic.steps=1000000000000000"),
@@ -361,6 +390,14 @@ class TestReports:
         header_idx = len(constants)
         assert text[header_idx] == "name,expected,measured,tolerance,pass"
         assert all(line.count(",") == 4 for line in text[header_idx:])
+
+    def test_report_lines_all_end_in_crlf(self, tmp_path):
+        # the constants preamble ends its lines as the csv rows do
+        run_scenario("bound-check", dict(DEFAULT_CONFIGS["bound-check"]), tmp_path)
+        lines = (tmp_path / "report.csv").read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        assert lines[0].startswith(b"# ")
+        assert all(line.endswith(b"\r") for line in lines)
 
     def test_every_scenario_reports_checks(self, tmp_path):
         for scenario in SCENARIOS:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from valuefield._csv import _BLOCK, write_column, write_csv
+from valuefield._csv import _BLOCK, write_csv, write_floats
 
 
 def test_one_cell_format():
@@ -45,8 +45,8 @@ def test_column_writes_the_bytes_of_a_one_column_table():
                              np.linspace(-1.0, 1.0, 10001)))  # more than one block
     table, column = io.StringIO(), io.StringIO()
     write_csv(table, ["v"], values[:, None])
-    write_column(column, values)
-    assert table.getvalue() == "v\r\n" + column.getvalue()
+    write_floats(column, values[:, None])
+    assert table.getvalue().split("\r\n", 1)[1] == column.getvalue()
 
 
 def _csv_module_bytes(header, table):
@@ -97,5 +97,5 @@ def test_column_writes_one_repr_per_line_across_blocks():
                              [-0.0, np.nan, np.inf, 5e-324]])
     for n in (0, 1, _BLOCK, _BLOCK + 1, len(values)):
         fh = io.StringIO()
-        write_column(fh, values[:n])
+        write_floats(fh, values[:n, None])
         assert fh.getvalue() == "".join(f"{v!r}\r\n" for v in values[:n].tolist())

@@ -213,6 +213,27 @@ class TestMetric:
         got = geodesic_rhs(fld, GeodesicState(p, u), c)
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
+    def test_geodesic_rhs_is_the_geodesic_of_the_swapped_metric_reparameterized(self):
+        # the Levi-Civita acceleration of e^{alpha(x_ref) - alpha(y)} eta, metric_at
+        # with its arguments swapped, plus -2 (A . u) u: that metric's geodesics
+        # at a non-affine parameter, which keep e^{3 alpha} eta(u, u) constant
+        fld, x_ref, c = wave_field(), spacetime_point(), C_DESK
+        p = spacetime_point(0.1, 0.2, -0.3, 0.4)
+        u = np.array([1.2 * c, 0.9, -0.6, 0.5])
+        assert np.all(fld.gradient(p) != 0)
+
+        def g(x):  # the swapped metric's diagonal at x = (c t, x, y, z)
+            return metric_at(fld, np.array([x[0] / c, *x[1:]]), x_ref)
+
+        x, h = np.array([c * p[0], *p[1:]]), 1e-5
+        dg = np.array([np.diag((g(x + h * e) - g(x - h * e)) / (2 * h)) for e in np.eye(4)])
+        christoffel = ((dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
+                       / (2 * g(x))[:, None, None])
+        a = a_per_meter(fld, p, c)
+        want = -np.einsum("mab,a,b->m", christoffel, u, u) - 2 * (a @ u) * u
+        got = geodesic_rhs(fld, GeodesicState(p, u), c)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
 
 class TestGeodesicRhs:
     @pytest.mark.parametrize("u", [[math.nan, 0, 0, 0], [C_DESK, math.inf, 0, 0],
