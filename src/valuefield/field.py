@@ -69,6 +69,7 @@ class AlphaField:
     """
 
     domain: tuple[np.ndarray, np.ndarray] | None = None
+    _bounds: tuple[list, list] | None = None  # the domain as lists of floats, derived once
     fd_scale: float = 1e-5  # finite-difference step, relative to max(1, |p|)
 
     def alpha(self, p) -> float | np.ndarray:
@@ -100,10 +101,10 @@ class AlphaField:
         # a finite sum has no NaN or inf term; a sum that overflows takes the
         # array checks below, which accept it
         if len(x) == 4 and math.isfinite(x[0] + x[1] + x[2] + x[3]):
-            if self.domain is None:
+            if self._bounds is None:
                 return x
-            lo, hi = self.domain
-            if all(map(operator.le, lo.tolist(), x)) and all(map(operator.le, x, hi.tolist())):
+            lo, hi = self._bounds
+            if all(map(operator.le, lo, x)) and all(map(operator.le, x, hi)):
                 return x
         self._require_inside(_as_point(p))
         return x
@@ -224,16 +225,21 @@ class GridField(AlphaField):
         self._strides = np.append(np.cumprod(sizes[:0:-1])[::-1], 1) * (sizes > 1)
         # flat offsets from a cell's lowest node of its 16 corners and, for the
         # one-point gradient, per corner and axis of the next and the previous
-        # sample (shape (2, 4, 16)); None when an axis has fewer than 4 samples,
-        # so no point takes the gather
+        # sample from the node _reach below it (shape (2, 4, 16), none negative,
+        # so a gather slices the flat samples); None when an axis has fewer
+        # than 4 samples, so no point takes the gather
+        self._flat, self._reach = self._samples.reshape(-1), int(self._strides.max())
         self._corner_offsets = _CORNERS @ self._strides
         self._neighbour_offsets = (
             self._corner_offsets + np.array([self._strides, -self._strides])[:, :, None]
-            if (self._last_cell >= 2).all() else None)
-        # the one-point path reads the constants per axis as Python floats and ints
-        self._cell_axes = [*zip(origin.tolist(), spacing.tolist(), self._strides.tolist(),
-                                self._last_cell.tolist())]
-        self._stencil_axes = [*zip(spacing.tolist(), *(b.tolist() for b in self._domain))]
+            + self._reach if (self._last_cell >= 2).all() else None)
+        # the one-point path's per-axis constants as Python floats and ints; the top
+        # cell n - 2 - margin per margin; 2h (an array 2 * spacing warns on overflow)
+        self._cell_axes = (*origin.tolist(), *spacing.tolist(), *self._strides.tolist())
+        self._cell_tops = (self._last_cell.tolist(), (self._last_cell - 1).tolist())
+        self._bounds = tuple(b.tolist() for b in self._domain)
+        self._stencil_axes = (*spacing.tolist(), *self._bounds[0], *self._bounds[1])
+        self._two_h = np.array([2.0 * h for h in spacing.tolist()])
 
     samples = property(lambda self: self._samples, doc="The 4-D sample array (read-only).")
     origin = property(lambda self: self._origin, doc="The lowest node (t, x, y, z) (read-only).")
@@ -253,26 +259,30 @@ class GridField(AlphaField):
 
     def _point_cell(self, x, margin):
         """The cell of :meth:`_alpha_rows` on the floats ``x`` of one point,
-        clamped to [margin, n - 2 - margin] per axis: the flat index of the
-        cell's lowest node and the 16 corner weights, each ((v0*v1)*v2)*v3 as
-        ``prod`` forms it, corner 0 first."""
-        base, v = 0, []
-        for xk, (o, s, stride, top) in zip(x, self._cell_axes):
-            f = (xk - o) / s
-            i = int(f)
-            i = top - margin if i > top - margin else i  # np.minimum, then np.maximum, as in a batch
-            i = margin if i < margin else i
-            base += i * stride
-            w = f - i
-            v.append((1.0 - w, w))
-        (a0, b0), (a1, b1), (a2, b2), (a3, b3) = v
-        w01 = (a0 * a1, b0 * a1, a0 * b1, b0 * b1)
-        w012 = [w * a2 for w in w01] + [w * b2 for w in w01]
-        return base, [w * a3 for w in w012] + [w * b3 for w in w012]
+        clamped to [margin, n - 2 - margin] per axis (np.minimum, then
+        np.maximum): the flat index of the cell's lowest node and the 16 corner
+        weights, each ((v0*v1)*v2)*v3 as ``prod`` forms it, corner 0 first."""
+        x0, x1, x2, x3 = x
+        o0, o1, o2, o3, s0, s1, s2, s3, d0, d1, d2, d3 = self._cell_axes
+        t0, t1, t2, t3 = self._cell_tops[margin]
+        f0, f1, f2, f3 = (x0 - o0) / s0, (x1 - o1) / s1, (x2 - o2) / s2, (x3 - o3) / s3
+        i0, i1, i2, i3 = int(f0), int(f1), int(f2), int(f3)
+        i0, i1, i2, i3 = (t0 if i0 > t0 else i0, t1 if i1 > t1 else i1,
+                          t2 if i2 > t2 else i2, t3 if i3 > t3 else i3)
+        i0, i1, i2, i3 = (margin if i0 < margin else i0, margin if i1 < margin else i1,
+                          margin if i2 < margin else i2, margin if i3 < margin else i3)
+        b0, b1, b2, b3 = f0 - i0, f1 - i1, f2 - i2, f3 - i3
+        a0, a1, a2, a3 = 1.0 - b0, 1.0 - b1, 1.0 - b2, 1.0 - b3
+        p0, p1, p2, p3 = a0 * a1, b0 * a1, a0 * b1, b0 * b1
+        q0, q1, q2, q3 = p0 * a2, p1 * a2, p2 * a2, p3 * a2
+        q4, q5, q6, q7 = p0 * b2, p1 * b2, p2 * b2, p3 * b2
+        return i0 * d0 + i1 * d1 + i2 * d2 + i3 * d3, [
+            q0 * a3, q1 * a3, q2 * a3, q3 * a3, q4 * a3, q5 * a3, q6 * a3, q7 * a3,
+            q0 * b3, q1 * b3, q2 * b3, q3 * b3, q4 * b3, q5 * b3, q6 * b3, q7 * b3]
 
     def _point_alpha(self, x):
         base, weights = self._point_cell(x, 0)
-        values = self._samples.take(self._corner_offsets + base).tolist()
+        values = self._flat[base:].take(self._corner_offsets).tolist()
         # summed left to right from corner 0's term, as np.add.accumulate sums a
         # batch row; sum() would start from 0 and turn a -0.0 into 0.0
         return functools.reduce(operator.add, map(operator.mul, weights, values))
@@ -283,17 +293,21 @@ class GridField(AlphaField):
         fractional position in the next cell, so where the stencil is inside
         the box the difference is the interpolant, over x's cell, of the nodal
         differences (s[i+1] - s[i-1]) / 2h_k: one gather of both neighbours of
-        the 16 corners along every axis. Other points (walls, top edges, axes
-        of fewer than 4 samples) take :meth:`_stencil_gradient`."""
-        if self._neighbour_offsets is None or not all(
-                xk - s >= a and xk + s <= b for xk, (s, a, b) in zip(x, self._stencil_axes)):
+        the 16 corners along every axis, summed from corner 0 as a batch row
+        is. Other points (the test x - h >= lo and x + h <= hi fails on an
+        axis, or an axis has fewer than 4 samples) take :meth:`_stencil_gradient`."""
+        x0, x1, x2, x3 = x
+        s0, s1, s2, s3, a0, a1, a2, a3, b0, b1, b2, b3 = self._stencil_axes
+        if self._neighbour_offsets is None or not (
+                x0 - s0 >= a0 and x0 + s0 <= b0 and x1 - s1 >= a1 and x1 + s1 <= b1
+                and x2 - s2 >= a2 and x2 + s2 <= b2 and x3 - s3 >= a3 and x3 + s3 <= b3):
             return self._stencil_gradient(np.array(x))
         # the stencil inside the box puts each fractional index in [1, n-2];
         # clamping the cell to [1, n-3] keeps every neighbour in [0, n-1]
         base, weights = self._point_cell(x, 1)
-        up, down = self._samples.take(self._neighbour_offsets + base)
-        terms = (up - down) * np.array(weights)  # (axis, corner)
-        return np.add.accumulate(terms, axis=1)[:, -1] / (2 * self._spacing)
+        near = self._flat[base - self._reach:].take(self._neighbour_offsets)
+        terms = (near[0] - near[1]) * np.array(weights)  # (axis, corner)
+        return np.add.accumulate(terms, axis=1)[:, -1] / self._two_h
 
     def _fd_steps(self, p: np.ndarray) -> np.ndarray:
         return self._spacing.copy()

@@ -416,8 +416,9 @@ def _profile_csv_start(profile: cos.AlphaProfile) -> float:
 
 
 def _cosmology_consistency(p: dict) -> list[str]:
-    """Flatness, era ordering and finite densities in alpha_profile.csv, whose
-    first row has the largest e^{4 (alpha(s) - alpha(t_now))} in density()."""
+    """Flatness, era ordering, era rows' ages that square to a float and finite
+    densities in alpha_profile.csv, whose first row has the largest
+    e^{4 (alpha(s) - alpha(t_now))} in density()."""
     diags = []
     total = p["omega_m"] + p["omega_r"] + p["omega_v"]
     if abs(total - 1.0) > cos._FLATNESS_TOL:
@@ -430,6 +431,11 @@ def _cosmology_consistency(p: dict) -> list[str]:
         diags.append(f"cosmology.s_rm_kyr: s_rm / s_de underflows to 0, got {p['s_rm_kyr']!r}")
     if s_de >= t_now:
         diags.append("cosmology.s_de_gyr: must precede t_now_gyr")
+    per_s = cos.h0_convert(p["h0_kms_mpc"])[1]  # the era rows' slope rates square each age
+    ages = [age / per_s if per_s else math.inf for kind, _, _, age in _ERAS if kind != "vacuum"]
+    if not all(t * t < math.inf for t in ages):
+        diags.append(f"cosmology.h0_kms_mpc: an era age 2 / (3 H0) or 1 / (2 H0) overflows "
+                     f"when squared, got {p['h0_kms_mpc']!r}")
     if diags:
         return diags
     exponent, top = math.inf, math.log(sys.float_info.max)

@@ -242,9 +242,13 @@ class TestExitCodes:
         *(("cosmology", f"cosmology.h0_kms_mpc={h0}", "cosmology.h0_kms_mpc: ")
           for h0 in ("1e170", "1e174", "1e200", "1e300")),  # the profile cannot be built
         ("cosmology", "cosmology.h0_kms_mpc=1e160", "cosmology.t_now_gyr: "),
+        # the era rows would square an age 2 / (3 H0) seconds past the float range
+        *(("cosmology", f"cosmology.h0_kms_mpc={h0}", "cosmology.h0_kms_mpc: ")
+          for h0 in ("1.5e-135", "1e-140", "1e-150", "1e-300", "1e-320")),
         ("geodesic", "geodesic.span_tau=1e-320",
          "geodesic.span_tau: span_tau / steps underflows to 0, got 1e-320"),
-    ], ids=["h0=1e170", "h0=1e174", "h0=1e200", "h0=1e300", "h0=1e160", "span_tau=1e-320"])
+    ], ids=["h0=1e170", "h0=1e174", "h0=1e200", "h0=1e300", "h0=1e160", "h0=1.5e-135",
+            "h0=1e-140", "h0=1e-150", "h0=1e-300", "h0=1e-320", "span_tau=1e-320"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_model_that_cannot_be_set_up_is_a_config_error(self, tmp_path, capsys, command,
                                                            scenario, override, diag):
@@ -348,6 +352,15 @@ class TestOverridesAndEnv:
         if command == "run":
             argv += ["--out", str(tmp_path / "out")]
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("h0", ["1e-130", "2e-135"])
+    def test_tiny_hubble_constant_whose_era_ages_square_runs_to_its_checks(self, tmp_path,
+                                                                           capsys, h0):
+        # the squared era ages stay finite; the dark-energy onset check fails on its own
+        cfg = write_config(tmp_path, "cosmology", {"h0_kms_mpc": h0})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1 and "onset_slope_steepening" in failed[0]
 
     def test_old_universe_below_the_density_overflow_runs(self, tmp_path):
         # at H0 = 70 the first alpha_profile.csv density overflows near 2.37e3 Gyr

@@ -11,6 +11,7 @@ from valuefield.field import (
     AnalyticField,
     ConstantField,
     GridField,
+    _CORNERS,
     _quad_nodes,
     covariant_derivative,
     scaled_integral,
@@ -332,6 +333,37 @@ def test_grid_gradient_matches_the_stencil_formula(shape, monkeypatch):
     for name in ("grid", "grid-thick", "grid-inexact", "grid-signed-zero"):
         knife = _knife_edge_points(FIELDS[name], inner)
         _check_against_the_stencil_formula(FIELDS[name], knife, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["grid", "grid-thick", "grid-inexact", "grid-signed-zero"])
+def test_interior_grid_gradient_is_the_corner_difference_reference_bit_for_bit(name):
+    # where the central stencil fits and every axis has >= 4 samples, the
+    # one-point gradient is the batch's arithmetic on the nodal differences:
+    # corner weights as prod forms them, summed by np.add.accumulate from
+    # corner 0, over 2h; the other two grids have a 3-sample axis, so none
+    # of their points takes it
+    fld = FIELDS[name]
+    lo, hi = fld.domain
+    s, h = fld.samples, fld.spacing
+    n = np.array(s.shape)
+    rng = np.random.default_rng(29)
+    inner = BOX[0] + (BOX[1] - BOX[0]) * rng.random((5, 4))
+    pts = np.vstack([lo + h + (hi - lo - 2 * h) * rng.random((300, 4)),
+                     _knife_edge_points(fld, inner)])
+    interior = ((pts - h >= lo) & (pts + h <= hi)).all(axis=1) & (n >= 4).all()
+    assert interior.any() == (n >= 4).all()
+    axes = np.eye(4, dtype=int)
+    for p in pts[interior]:
+        frac = (p - lo) / h
+        i0 = np.maximum(np.minimum(frac.astype(int), n - 3), 1)
+        w = frac - i0
+        weights = np.where(_CORNERS, w, 1.0 - w).prod(axis=-1)
+        corners = i0 + _CORNERS
+        want = np.array([
+            np.add.accumulate((s[tuple((corners + e).T)] - s[tuple((corners - e).T)]) * weights)[-1]
+            for e in axes]) / (2 * h)
+        for q in (p, p.tolist()):
+            assert fld.gradient(q).tobytes() == want.tobytes()
 
 
 def test_grid_alpha_matches_corner_loop_reference():
