@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from pathlib import Path
@@ -123,6 +124,7 @@ def cmd_demo(args) -> int:
     return cmd_run(argparse.Namespace(config=config_path, set=None, out=out_dir))
 
 
+@functools.cache  # one per process: main() parses each call's argv afresh with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="valuefield",

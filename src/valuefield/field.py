@@ -69,44 +69,52 @@ class AlphaField:
     """
 
     domain: tuple[np.ndarray, np.ndarray] | None = None
-    _bounds: tuple[list, list] | None = None  # the domain as lists of floats, derived once
+    _bounds: tuple | None = None  # (lo0, hi0, ..., lo3, hi3) as floats, derived once
     fd_scale: float = 1e-5  # finite-difference step, relative to max(1, |p|)
 
     def alpha(self, p) -> float | np.ndarray:
-        if not (type(p) is list and len(p) == 4
-                and type(p[0]) is type(p[1]) is type(p[2]) is type(p[3]) is float):
-            p = np.asarray(p, dtype=float)
-            if p.ndim != 1:
-                return self._alpha_rows(self._require_inside(p))
+        if type(p) is list and len(p) == 4:
+            t, x, y, z = p
+            if (type(t) is type(x) is type(y) is type(z) is float
+                    and math.isfinite(t + x + y + z)
+                    and (self._bounds is None or self._inside(t, x, y, z))):
+                return self._point_alpha(p)
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 1:
+            return self._alpha_rows(self._require_inside(p))
         return self._point_alpha(self._point(p))
 
     def gradient(self, p) -> np.ndarray:
         """(d alpha/dt [1/s], d alpha/dx, d alpha/dy, d alpha/dz [1/m]) at one point."""
-        if not (type(p) is list and len(p) == 4
-                and type(p[0]) is type(p[1]) is type(p[2]) is type(p[3]) is float):
-            p = np.asarray(p, dtype=float)
-            if p.ndim != 1:
-                raise ValueError(
-                    f"gradient takes one spacetime point of shape (4,), got {p.shape}")
+        if type(p) is list and len(p) == 4:
+            t, x, y, z = p
+            if (type(t) is type(x) is type(y) is type(z) is float
+                    and math.isfinite(t + x + y + z)
+                    and (self._bounds is None or self._inside(t, x, y, z))):
+                return self._point_gradient(p)
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 1:
+            raise ValueError(f"gradient takes one spacetime point of shape (4,), got {p.shape}")
         return self._point_gradient(self._point(p))
 
     # -- shared helpers ---------------------------------------------------
 
-    def _point(self, p) -> list:
-        """The point ``p``, a list of 4 floats or a 1-D float array, as a list
-        of floats, after the checks of :meth:`_require_inside` made on floats;
-        a point that fails them gets :func:`_as_point`'s shape or finiteness
-        error, or the domain error of :meth:`_require_inside`."""
-        x = p if type(p) is list else p.tolist()
+    def _inside(self, t, x, y, z) -> bool:
+        """Whether the four floats of one point lie in the domain; ``_bounds`` is set."""
+        l0, h0, l1, h1, l2, h2, l3, h3 = self._bounds
+        return l0 <= t <= h0 and l1 <= x <= h1 and l2 <= y <= h2 and l3 <= z <= h3
+
+    def _point(self, p: np.ndarray) -> list:
+        """The 1-D float array ``p`` as a list of floats, after the checks of
+        :meth:`_require_inside` made on floats; a point that fails them gets
+        :func:`_as_point`'s shape or finiteness error, or the domain error of
+        :meth:`_require_inside`."""
+        x = p.tolist()
         # a finite sum has no NaN or inf term; a sum that overflows takes the
         # array checks below, which accept it
-        if len(x) == 4 and math.isfinite(x[0] + x[1] + x[2] + x[3]):
-            if self._bounds is None:
-                return x
-            lo, hi = self._bounds
-            if all(map(operator.le, lo, x)) and all(map(operator.le, x, hi)):
-                return x
-        self._require_inside(_as_point(p))
+        if not (len(x) == 4 and math.isfinite(x[0] + x[1] + x[2] + x[3])
+                and (self._bounds is None or self._inside(*x))):
+            self._require_inside(_as_point(p))
         return x
 
     def _require_inside(self, p: np.ndarray) -> np.ndarray:
@@ -237,8 +245,9 @@ class GridField(AlphaField):
         # cell n - 2 - margin per margin; 2h (an array 2 * spacing warns on overflow)
         self._cell_axes = (*origin.tolist(), *spacing.tolist(), *self._strides.tolist())
         self._cell_tops = (self._last_cell.tolist(), (self._last_cell - 1).tolist())
-        self._bounds = tuple(b.tolist() for b in self._domain)
-        self._stencil_axes = (*spacing.tolist(), *self._bounds[0], *self._bounds[1])
+        lo, hi = (b.tolist() for b in self._domain)
+        self._bounds = tuple(v for pair in zip(lo, hi) for v in pair)
+        self._stencil_axes = (*spacing.tolist(), *lo, *hi)
         self._two_h = np.array([2.0 * h for h in spacing.tolist()])
 
     samples = property(lambda self: self._samples, doc="The 4-D sample array (read-only).")

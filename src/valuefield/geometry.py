@@ -48,7 +48,7 @@ class GeodesicState:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != (4,) or not np.all(np.isfinite(self.u)):
             raise ValueError(f"4-velocity must be 4 finite components, got {self.u!r}")
-        if not math.isfinite(_eta_uu(self.u.tolist())):  # some u_k * u_k, or their sum
+        if not math.isfinite(_eta_uu(*self.u.tolist())):  # some u_k * u_k, or their sum
             raise OverflowError(f"4-velocity u = {self.u.tolist()!r} overflows eta(u, u)")
 
 
@@ -89,10 +89,9 @@ def metric_at(field: AlphaField, x_ref, y) -> np.ndarray:
     return factor * ETA
 
 
-def _eta_uu(u: list) -> float:
-    """eta(u, u) on four floats, summed left to right; -c^2 for a normalized
-    massive 4-velocity."""
-    u0, u1, u2, u3 = u
+def _eta_uu(u0: float, u1: float, u2: float, u3: float) -> float:
+    """eta(u, u) on the four floats of u, summed left to right; -c^2 for a
+    normalized massive 4-velocity."""
     return ((-(u0 * u0) + u1 * u1) + u2 * u2) + u3 * u3
 
 
@@ -105,9 +104,9 @@ def geodesic_rhs(field: AlphaField, state: GeodesicState, c: float) -> np.ndarra
 def _geodesic_dy(field: AlphaField, c: float, y: list) -> list:
     """The geodesic equation on floats: d/dtau of the state y, the eight
     floats (t, x, y, z, u0, u1, u2, u3), with dt/dtau = u0 / c."""
-    g0, a1, a2, a3 = field.gradient(y[:4]).tolist()
+    t, x1, x2, x3, u0, u1, u2, u3 = y
+    g0, a1, a2, a3 = field.gradient([t, x1, x2, x3]).tolist()
     a0 = g0 / c  # per-meter temporal component, by the unit convention above
-    u0, u1, u2, u3 = y[4:]
     m = -(((a0 * u0 + a1 * u1) + a2 * u2) + a3 * u3)  # -(A . u)
     q2 = -(((-(u0 * u0) + u1 * u1) + u2 * u2) + u3 * u3)  # c^2 massive, 0 null
     return [u0 / c, u1, u2, u3,
@@ -136,6 +135,8 @@ def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
     component in a generic loop's operation order. Overflow gives inf, which
     the finite check turns into StepUnstable: a finite sum of the state has no
     inf or NaN term, so only a non-finite sum checks each component."""
+    tol = cfg.norm_check_tol
+
     def advance(y, h, depth):
         half, sixth = h / 2, h / 6.0
         s0, s1, s2, s3, s4, s5, s6, s7 = y
@@ -160,10 +161,10 @@ def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
         if not (math.isfinite(sum(ynew)) or all(map(math.isfinite, ynew))):
             raise StepUnstable(f"non-finite state during {what} step")
         d = drift(ynew)
-        if not (d <= cfg.norm_check_tol):  # NaN drift fails too
+        if not (d <= tol):  # NaN drift fails too
             if depth >= _MAX_HALVINGS:
                 raise StepUnstable(f"conservation drift {d:.3e} exceeds tolerance "
-                                   f"{cfg.norm_check_tol:.3e} at minimum step")
+                                   f"{tol:.3e} at minimum step")
             y, _ = advance(y, h / 2, depth + 1)
             return advance(y, h / 2, depth + 1)
         return ynew, d
@@ -194,12 +195,20 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
     require_finite_positive("c", c)
 
     def monitor(y0):
-        alpha0, q0 = field.alpha(y0[:4]), _eta_uu(y0[4:])
-        scale = max(abs(q0), y0[4] ** 2)
-        # np.exp, not math.exp: an overflowing factor gives an inf drift, which
-        # fails the tolerance and so the step, instead of raising OverflowError
-        return lambda yv: abs(
-            np.exp(3.0 * (field.alpha(yv[:4]) - alpha0)) * _eta_uu(yv[4:]) - q0) / scale
+        t, x1, x2, x3, u0, u1, u2, u3 = y0
+        alpha0, q0 = field.alpha([t, x1, x2, x3]), _eta_uu(u0, u1, u2, u3)
+        # a NumPy scalar, so the drift is one: a scale of 0 divides as NumPy
+        # divides, under the caller's floating-point error state
+        scale = np.float64(max(abs(q0), u0 ** 2))
+
+        def drift(y):
+            t, x1, x2, x3, u0, u1, u2, u3 = y
+            try:
+                factor = math.exp(3.0 * (field.alpha([t, x1, x2, x3]) - alpha0))
+            except OverflowError:  # an inf drift fails the step, which is then halved
+                factor = math.inf
+            return abs(factor * _eta_uu(u0, u1, u2, u3) - q0) / scale
+        return drift
 
     ys, drift = _rk4_path(functools.partial(_geodesic_dy, field, c),
                           np.concatenate([init.p, init.u]), cfg, monitor, "geodesic")

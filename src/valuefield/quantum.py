@@ -18,6 +18,7 @@ periodic spectral kinetic operator, or a Dirichlet tridiagonal stencil.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -176,7 +177,9 @@ def schrodinger_step(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeSca
     damping = math.exp(-(scaling.alpha(psi.t + dt) - scaling.alpha(psi.t)))
     out = cn.apply(psi.psi)  # a fresh array on both paths, so it is damped in place
     out *= damping
-    if not np.isfinite(out).all():
+    # a finite sum has no NaN or inf term; only a sum that is not finite (an
+    # overflow of finite terms included) checks each amplitude
+    if not (cmath.isfinite(out.sum()) or np.isfinite(out).all()):
         raise StepUnstable("non-finite amplitudes after step")
     return psi._replaced(out, psi.t + dt)
 

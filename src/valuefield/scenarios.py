@@ -320,12 +320,24 @@ def scenario_geodesic(p: dict, out_dir: Path) -> RunReport:
     r1 = geo.geodesic_rhs(f1, init, c)
     r2 = geo.geodesic_rhs(f2, init, c)
     lin_err = float(np.max(np.abs(r2 - 2 * r1)))
-    scale = float(np.max(np.abs(r1))) or 1.0
-    report.add_bound("rhs_linearity_in_gradient", lin_err / scale, 1e-12)
+    scale = float(np.max(np.abs(r1)))
+    # an rhs that underflowed to 0 (a tiny c, say) shows no linearity: the row fails
+    report.add_bound("rhs_linearity_in_gradient", lin_err / scale if scale else math.inf,
+                     1e-12)
     return report
 
 
 # -- schrodinger ------------------------------------------------------------
+
+
+def _schrodinger_consistency(p: dict) -> list[str]:
+    """The spreading row squares half the free packet's time, steps * dt / 2,
+    as a Python float; the square must not overflow."""
+    half, top = p["steps"] * p["dt"] / 2, math.sqrt(sys.float_info.max)
+    if half * half < math.inf:
+        return []
+    return [f"schrodinger.dt: the packet variance 1 + (steps*dt/2)^2 overflows; "
+            f"needs steps*dt/2 <= {top:.6g}, got dt = {p['dt']!r} at steps = {p['steps']}"]
 
 
 @_scenario("schrodinger", {
@@ -453,7 +465,7 @@ def _cosmology_consistency(p: dict) -> list[str]:
 
 
 _CONSISTENCY = {"field-calculus": _field_calculus_consistency, "geodesic": _geodesic_consistency,
-                "cosmology": _cosmology_consistency}
+                "schrodinger": _schrodinger_consistency, "cosmology": _cosmology_consistency}
 
 
 @_scenario("cosmology", {

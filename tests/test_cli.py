@@ -247,8 +247,12 @@ class TestExitCodes:
           for h0 in ("1.5e-135", "1e-140", "1e-150", "1e-300", "1e-320")),
         ("geodesic", "geodesic.span_tau=1e-320",
          "geodesic.span_tau: span_tau / steps underflows to 0, got 1e-320"),
+        # the spreading row would square steps * dt / 2 past the float range
+        *(("schrodinger", f"schrodinger.dt={dt}", "schrodinger.dt: ")
+          for dt in ("3e151", "1e154", "1e200", "1.7e308")),
     ], ids=["h0=1e170", "h0=1e174", "h0=1e200", "h0=1e300", "h0=1e160", "h0=1.5e-135",
-            "h0=1e-140", "h0=1e-150", "h0=1e-300", "h0=1e-320", "span_tau=1e-320"])
+            "h0=1e-140", "h0=1e-150", "h0=1e-300", "h0=1e-320", "span_tau=1e-320",
+            "dt=3e151", "dt=1e154", "dt=1e200", "dt=1.7e308"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_model_that_cannot_be_set_up_is_a_config_error(self, tmp_path, capsys, command,
                                                            scenario, override, diag):
@@ -259,6 +263,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         (line,) = (captured.out + captured.err).splitlines()
         assert line.startswith(diag if command == "validate" else f"config error: {diag}")
+
+    def test_geodesic_rhs_that_underflows_to_zero_fails_the_linearity_row(self, tmp_path,
+                                                                          capsys):
+        # at c = 1e-160 both right-hand sides are 0: nothing shows linearity
+        cfg = write_config(tmp_path, "geodesic", {"c": "1e-160"})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1 and "rhs_linearity_in_gradient: measured inf" in failed[0]
+
+    def test_schrodinger_step_whose_spread_squares_to_a_float_validates(self, tmp_path):
+        # steps * dt / 2 = 1.3e154, just under sqrt(max) = 1.34e154
+        cfg = write_config(tmp_path, "schrodinger", {"dt": "2.6e151"})
+        assert main(["validate", str(cfg)]) == 0
 
     def test_geodesic_subnormal_step_runs(self, tmp_path):
         # span_tau / steps = 1e-314: subnormal, but a step
@@ -366,6 +383,27 @@ class TestOverridesAndEnv:
         # at H0 = 70 the first alpha_profile.csv density overflows near 2.37e3 Gyr
         cfg = write_config(tmp_path, "cosmology", {"t_now_gyr": "2e3"})
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+class TestRepeatedCalls:
+    def test_two_main_calls_in_one_process_are_independent(self, tmp_path, capsys):
+        # one parser serves every call: neither the --set list nor --out of a
+        # call reaches the next
+        cfg = write_config(tmp_path, "bound-check")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "a"),
+                     "--set", "bound-check.eps=1e-30"]) == 1
+        assert main(["run", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert main(["validate", str(cfg), "--set", "bound-check.eps=-1"]) == 2
+        assert main(["validate", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1 and "bound-check.eps: " in out
+        flags = {}
+        for name in ("a", "b"):
+            with open(tmp_path / name / "report.csv", newline="") as fh:
+                flags[name] = {row["pass"] for row in csv.DictReader(
+                    line for line in fh if not line.startswith("#"))}
+        assert "false" in flags["a"] and flags["b"] == {"true"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "run.cfg"]
 
 
 class TestDeterminism:

@@ -406,6 +406,17 @@ class TestIntegrateGeodesic:
         with pytest.raises(StepUnstable):
             integrate_geodesic(ConstantField(float("nan")), init, cfg, C_DESK)
 
+    @pytest.mark.parametrize("fp_errors", ["warn", "raise"])
+    def test_monitor_factor_that_overflows_is_an_unstable_step(self, fp_errors):
+        # alpha jumps by 1e3 once t > 0, so e^{3 (alpha - alpha0)} overflows: an
+        # inf drift fails the step and each halving of it down to the minimum
+        # step, under a NumPy error state that raises as under one that warns
+        fld = AnalyticField(lambda p: 1e3 if p[0] > 0 else 0.0, lambda p: np.zeros(4))
+        init = GeodesicState(spacetime_point(), np.array([C_DESK, 0.3, 0, 0]))
+        with np.errstate(all=fp_errors), pytest.raises(
+                StepUnstable, match="^conservation drift inf exceeds tolerance 1.000e-06 at"):
+            integrate_geodesic(fld, init, IntegratorConfig(step=0.1, span=1.0), C_DESK)
+
     def test_matches_numpy_rk4_on_a_field_varying_along_every_axis(self):
         # scalar A . u sums without the fused multiply-add of BLAS ddot, so
         # the last bits may move; nothing more
