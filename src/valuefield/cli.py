@@ -3,7 +3,7 @@
 Configuration files are line-oriented ``key = value`` pairs under
 ``[section]`` headers (INI syntax). The ``[scenario]`` section selects the
 experiment by ``name``; a section of the same name holds its parameters.
-Parameter names, defaults and ranges come only from the tables in
+Parameter names, defaults and ranges come only from the ``_scenario`` records in
 ``scenarios.py``. Sections other than ``[scenario]`` (``name``), ``[output]``
 (``dir``) and the scenario's own, unknown keys and non-finite values are rejected.
 ``--set section.key=value`` flags override config keys, and the output
@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, ValueFieldError
-from .scenarios import PARAMS, SCENARIOS, parse_params, run_scenario
+from .scenarios import SCENARIOS, parse_params, run_scenario
 
-DEFAULT_CONFIGS = {s: {k: p.default for k, p in t.items()} for s, t in PARAMS.items()}
+DEFAULT_CONFIGS = {n: {k: p.default for k, p in s.params.items()} for n, s in SCENARIOS.items()}
 
 
 def load_config(path) -> dict[str, dict[str, str]]:

@@ -189,8 +189,10 @@ def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorCo
 
     The monitored quantity is e^{3(alpha(p)-alpha(p0))} * eta(u, u), which the
     evolution equation keeps constant (it reduces to the plain eta-norm check
-    when alpha is constant). A step that moves it by more than norm_check_tol
-    relative is retried at half the step, up to _MAX_HALVINGS levels deep.
+    when alpha is constant). A step that ends with it more than norm_check_tol
+    relative away from its value at the start of the run, not of the step, is
+    retried at half the step, up to _MAX_HALVINGS levels deep. So drift that
+    earlier steps accumulated counts against every later step; halving cannot remove it.
     """
     require_finite_positive("c", c)
 

@@ -1,9 +1,9 @@
 """Named experiment scenarios executed by the CLI.
 
-Each scenario runs a deterministic set of checks, writes its CSV artifacts
-into the output directory and returns a RunReport. A check row records the
-measured value next to its expected value and tolerance so the report is
-self-contained.
+``run_scenario`` hands each scenario a RunReport, in which it records a
+deterministic set of checks and the CSV artifacts it writes into the output
+directory. A check row records the measured value next to its expected value
+and tolerance so the report is self-contained.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ class Check:
 @dataclass
 class RunReport:
     scenario: str
+    out_dir: Path
     wall_time_s: float = 0.0
     checks: list[Check] = dc_field(default_factory=list)
     artifacts: list[str] = dc_field(default_factory=list)
@@ -59,6 +60,12 @@ class RunReport:
         self.checks.append(chk)
         return chk
 
+    def artifact(self, name: str) -> Path:
+        """The path of artifact ``name`` in the output directory, now listed."""
+        path = self.out_dir / name
+        self.artifacts.append(str(path))
+        return path
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -70,12 +77,6 @@ class RunReport:
             write_csv(fh, ["name", "expected", "measured", "tolerance", "pass"],
                       ((c.name, c.expected, c.measured, c.tolerance, c.passed)
                        for c in self.checks))
-
-
-def _artifact(report: RunReport, out_dir: Path, name: str) -> Path:
-    path = out_dir / name
-    report.artifacts.append(str(path))
-    return path
 
 
 # -- parameter tables ---------------------------------------------------------
@@ -96,39 +97,53 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _EVEN_COUNT = (lambda v: v > 0 and v % 2 == 0, "must be a positive even count")
 
-SCENARIOS: dict[str, Callable] = {}
-PARAMS: dict[str, dict[str, Param]] = {}
+
+@dataclass(frozen=True)
+class Scenario:
+    """run(p, report), the parameter table and the rule that checks the
+    parameters together once each one passes the table."""
+
+    run: Callable[[dict, RunReport], None]
+    params: dict[str, Param]
+    consistency: Callable[[dict], list[str]] | None = None
 
 
-def _scenario(name: str, params: dict[str, Param]):
-    """Register the decorated function as scenario ``name`` with its parameters."""
+SCENARIOS: dict[str, Scenario] = {}
+
+
+def _scenario(name: str, params: dict[str, Param], consistency=None):
+    """Register the decorated function as the run of scenario ``name``."""
     def register(run):
-        SCENARIOS[name], PARAMS[name] = run, params
+        SCENARIOS[name] = Scenario(run, params, consistency)
         return run
     return register
 
 
 def parse_params(name: str, raw: dict[str, str]) -> tuple[dict, list[str]]:
     """Typed parameters of scenario ``name`` from config text, with defaults
-    filled in, and one ``name.key: ...`` diagnostic per problem. Unknown keys
-    and non-finite numbers are problems; no diagnostics means valid."""
-    table = PARAMS[name]
-    diags = [f"{name}.{key}: unknown key" for key in raw if key not in table]
+    filled in, and one ``name.key: ...`` diagnostic per problem. Unknown keys,
+    non-finite numbers and ints past the float range are problems; none means valid."""
+    scenario = SCENARIOS[name]
+    diags = [f"{name}.{key}: unknown key" for key in raw if key not in scenario.params]
     values = {}
-    for key, param in table.items():
+    for key, param in scenario.params.items():
         text = raw.get(key, param.default)
         try:
             value = param.type(text)
+            finite = math.isfinite(value)
         except ValueError:
             diags.append(f"{name}.{key}: cannot parse {text!r} as {param.type.__name__}")
             continue
-        if not math.isfinite(value):
+        except OverflowError:  # an int that no float can hold, so no check can compare
+            diags.append(f"{name}.{key}: outside the float range, got {text!r}")
+            continue
+        if not finite:
             diags.append(f"{name}.{key}: must be finite, got {text!r}")
         elif not param.check(value):
             diags.append(f"{name}.{key}: {param.message}")
         values[key] = value
-    if not diags and name in _CONSISTENCY:
-        diags = _CONSISTENCY[name](values)
+    if not diags and scenario.consistency:
+        diags = scenario.consistency(values)
     return values, diags
 
 
@@ -150,9 +165,8 @@ def _positive_fraction(rng: random.Random) -> Fraction:
     "seed": Param(int, "0"),
     "cases": Param(int, "1000", *_POSITIVE),
 })
-def scenario_arithmetic_check(p: dict, out_dir: Path) -> RunReport:
+def scenario_arithmetic_check(p: dict, report: RunReport) -> None:
     """Exact identities of the scaled-number layer over a seeded random sweep."""
-    report = RunReport("arithmetic-check")
     rng = random.Random(p["seed"])
 
     rows = []
@@ -188,9 +202,8 @@ def scenario_arithmetic_check(p: dict, out_dir: Path) -> RunReport:
     for name, count in failures.items():
         report.add(f"exact_{name}_failures", 0, count, 0)
 
-    write_csv(_artifact(report, out_dir, "arithmetic_golden.csv"),
+    write_csv(report.artifact("arithmetic_golden.csv"),
               ["s", "t", "a", "b", "op", "expected"], rows)
-    return report
 
 
 # -- field-calculus ---------------------------------------------------------
@@ -213,10 +226,9 @@ def _field_calculus_consistency(p: dict) -> list[str]:
     "y0": Param(float, "0.3"),
     "sigma": Param(float, "0.5", *_POSITIVE),
     "n": Param(int, "16384", *_EVEN_COUNT),
-})
-def scenario_field_calculus(p: dict, out_dir: Path) -> RunReport:
+}, _field_calculus_consistency)
+def scenario_field_calculus(p: dict, report: RunReport) -> None:
     """Transport-weighted quadrature and the covariant-derivative identity."""
-    report = RunReport("field-calculus")
     k, y0, sigma = p["k"], p["y0"], p["sigma"]
 
     fld = vfield.AnalyticField(lambda p: k * p[1],
@@ -237,7 +249,7 @@ def scenario_field_calculus(p: dict, out_dir: Path) -> RunReport:
     for nn in (16, 32, 64, 128, 256):
         v = vfield.scaled_integral(gauss, fld, x_ref, lo, hi, n=nn)
         conv_rows.append((nn, abs(v - exact) / exact))
-    write_csv(_artifact(report, out_dir, "quadrature_convergence.csv"),
+    write_csv(report.artifact("quadrature_convergence.csv"),
               ["n_panels", "rel_error"], conv_rows)
 
     def inv_weight(p):
@@ -258,7 +270,6 @@ def scenario_field_calculus(p: dict, out_dir: Path) -> RunReport:
     direct = 5.0 * tf(fld, x, z)
     report.add_bound("transport_chain_rel_err",
                      abs(chained - direct) / abs(direct), 1e-13)
-    return report
 
 
 # -- geodesic ---------------------------------------------------------------
@@ -285,10 +296,9 @@ def _geodesic_consistency(p: dict) -> list[str]:
     "beta": Param(float, "0.3", lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     "span_tau": Param(float, "1e-4", *_POSITIVE),
     "mass": Param(float, "1.0", *_POSITIVE),
-})
-def scenario_geodesic(p: dict, out_dir: Path) -> RunReport:
+}, _geodesic_consistency)
+def scenario_geodesic(p: dict, report: RunReport) -> None:
     """Straight-line limit at constant alpha and linearity of the rhs in A."""
-    report = RunReport("geodesic")
     c, beta, span = p["c"], p["beta"], p["span_tau"]
 
     gamma = _lorentz_factor(beta)
@@ -307,7 +317,7 @@ def scenario_geodesic(p: dict, out_dir: Path) -> RunReport:
 
     particle = geo.ParticleSpec(p["mass"], c)
     gam = traj.u[:, 0] / particle.c
-    write_csv(_artifact(report, out_dir, "geodesic_trajectory.csv"),
+    write_csv(report.artifact("geodesic_trajectory.csv"),
               ["tau", "t", "x", "y", "z", "u0", "u1", "u2", "u3", "gamma", "E"],
               np.column_stack([traj.tau, traj.p, traj.u, gam,
                                gam * particle.rest_energy]))
@@ -324,7 +334,6 @@ def scenario_geodesic(p: dict, out_dir: Path) -> RunReport:
     # an rhs that underflowed to 0 (a tiny c, say) shows no linearity: the row fails
     report.add_bound("rhs_linearity_in_gradient", lin_err / scale if scale else math.inf,
                      1e-12)
-    return report
 
 
 # -- schrodinger ------------------------------------------------------------
@@ -345,10 +354,9 @@ def _schrodinger_consistency(p: dict) -> list[str]:
     "steps": Param(int, "1000", *_POSITIVE),
     "dt": Param(float, "1e-3", *_POSITIVE),
     "a0": Param(float, "0.25"),
-})
-def scenario_schrodinger(p: dict, out_dir: Path) -> RunReport:
+}, _schrodinger_consistency)
+def scenario_schrodinger(p: dict, report: RunReport) -> None:
     """Damped-unitary evolution: norm law with constant A, unitarity at A = 0."""
-    report = RunReport("schrodinger")
     steps, dt, a0 = p["steps"], p["dt"], p["a0"]
 
     y = np.linspace(-40.0, 40.0, p["n"], endpoint=False)
@@ -387,13 +395,12 @@ def scenario_schrodinger(p: dict, out_dir: Path) -> RunReport:
     conserved = psi.norm_sq() * math.exp(2 * a0 * psi.t)
     report.add_bound("damping_law_drift", abs(conserved - 1.0), 1e-8)
 
-    write_csv(_artifact(report, out_dir, "schrodinger_snapshot.csv"),
+    write_csv(report.artifact("schrodinger_snapshot.csv"),
               ["t", "y", "re_psi", "im_psi", "prob_density"],
               np.column_stack([np.full(psi.y.size, psi.t), psi.y, psi.psi.real,
                                psi.psi.imag, psi.probability_density()]))
-    write_csv(_artifact(report, out_dir, "schrodinger_summary.csv"),
+    write_csv(report.artifact("schrodinger_summary.csv"),
               ["t", "norm_sq", "position_expectation"], rows)
-    return report
 
 
 # -- cosmology ----------------------------------------------------------------
@@ -464,10 +471,6 @@ def _cosmology_consistency(p: dict) -> list[str]:
     return diags
 
 
-_CONSISTENCY = {"field-calculus": _field_calculus_consistency, "geodesic": _geodesic_consistency,
-                "schrodinger": _schrodinger_consistency, "cosmology": _cosmology_consistency}
-
-
 @_scenario("cosmology", {
     "h0_kms_mpc": Param(float, "70", *_POSITIVE),
     "omega_m": Param(float, "0.3", *_NONNEGATIVE),
@@ -476,11 +479,10 @@ _CONSISTENCY = {"field-calculus": _field_calculus_consistency, "geodesic": _geod
     "t_now_gyr": Param(float, "13.8", *_POSITIVE),
     "s_rm_kyr": Param(float, "50", *_POSITIVE),
     "s_de_gyr": Param(float, "10"),
-})
-def scenario_cosmology(p: dict, out_dir: Path) -> RunReport:
+}, _cosmology_consistency)
+def scenario_cosmology(p: dict, report: RunReport) -> None:
     """Rate conversion, era Friedmann residuals, redshift linearization,
     dark-energy onset."""
-    report = RunReport("cosmology")
     params, profile = _cosmology_model(p)
 
     # published rates at H0 = 70 km/s/Mpc, scaled to the configured H0
@@ -522,14 +524,13 @@ def scenario_cosmology(p: dict, out_dir: Path) -> RunReport:
     report.add_bound("onset_slope_steepening", right - left, 0.0)
 
     ss = np.geomspace(_profile_csv_start(profile), profile.t_now, 512).tolist()
-    write_csv(_artifact(report, out_dir, "alpha_profile.csv"), ["s", "alpha", "a", "H", "rho"], (
+    write_csv(report.artifact("alpha_profile.csv"), ["s", "alpha", "a", "H", "rho"], (
         (s, profile.alpha(s), cos.scale_factor(profile, s), cos.hubble(profile, s),
          cos.density(profile, s, params)) for s in ss))
     emits = np.linspace(t_now - 200e6 * YEAR_S, t_now - 1e6 * YEAR_S, 40).tolist()
     h0 = params.h0_per_s
-    write_csv(_artifact(report, out_dir, "redshift_table.csv"), ["s_emit", "z_exact", "z_linear"],
+    write_csv(report.artifact("redshift_table.csv"), ["s_emit", "z_exact", "z_linear"],
               ((s, cos.redshift(lin, s, t_now), h0 * (t_now - s)) for s in emits))
-    return report
 
 
 # -- bound-check --------------------------------------------------------------
@@ -544,9 +545,8 @@ _PROFILE_AGE_S = cos.CosmologyParams().t_now_s  # the window must start after s 
                       f"must lie in (0, {_PROFILE_AGE_S!r}), the profile age in s"),
     "eps": Param(float, "1e-10", *_POSITIVE),
 })
-def scenario_bound_check(p: dict, out_dir: Path) -> RunReport:
+def scenario_bound_check(p: dict, report: RunReport) -> None:
     """Local undetectability: |alpha - alpha_ref| over an occupiable region."""
-    report = RunReport("bound-check")
     params = cos.CosmologyParams(h0_kms_mpc=p["h0_kms_mpc"])
     window, eps = p["window_s"], p["eps"]
 
@@ -555,9 +555,8 @@ def scenario_bound_check(p: dict, out_dir: Path) -> RunReport:
     dev, ok = cos.local_bound_check(lin, (t_now - window, t_now), eps=eps)
     report.add_bound("solar_region_alpha_deviation", dev, eps)
 
-    write_csv(_artifact(report, out_dir, "bound_check.csv"),
+    write_csv(report.artifact("bound_check.csv"),
               ["window_s", "max_deviation", "epsilon", "pass"], [(window, dev, eps, ok)])
-    return report
 
 
 def run_scenario(name: str, cfg: dict[str, str], out_dir: Path) -> RunReport:
@@ -568,7 +567,8 @@ def run_scenario(name: str, cfg: dict[str, str], out_dir: Path) -> RunReport:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    report = SCENARIOS[name](values, out_dir)
+    report = RunReport(name, out_dir)
+    SCENARIOS[name].run(values, report)
     report.wall_time_s = time.perf_counter() - start
-    report.write_csv(_artifact(report, out_dir, "report.csv"))
+    report.write_csv(report.artifact("report.csv"))
     return report

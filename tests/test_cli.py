@@ -12,7 +12,7 @@ import valuefield
 from valuefield import cosmology
 from valuefield.cli import DEFAULT_CONFIGS, load_config, main, validate_config
 from valuefield.errors import ConfigInvalid
-from valuefield.scenarios import SCENARIOS, run_scenario
+from valuefield.scenarios import SCENARIOS, Param, _scenario, parse_params, run_scenario
 
 
 def parses_as_float(text):
@@ -104,6 +104,10 @@ class TestValidate:
         cfg = write_config(tmp_path, "geodesic")
         assert main(["validate", str(cfg), "--set", "geodesic.alpha_const=0.4"]) == 2
         assert capsys.readouterr().out.splitlines() == ["geodesic.alpha_const: unknown key"]
+
+
+_INT_KEYS = ("arithmetic-check.seed", "arithmetic-check.cases", "field-calculus.n",
+             "geodesic.steps", "schrodinger.n", "schrodinger.steps")
 
 
 class TestExitCodes:
@@ -250,9 +254,14 @@ class TestExitCodes:
         # the spreading row would square steps * dt / 2 past the float range
         *(("schrodinger", f"schrodinger.dt={dt}", "schrodinger.dt: ")
           for dt in ("3e151", "1e154", "1e200", "1.7e308")),
+        # an int of 401 digits parses, but no float holds it for the range check
+        *((key.split(".")[0], f"{key}=1{'0' * 400}",
+           f"{key}: outside the float range, got '1{'0' * 400}'")
+          for key in _INT_KEYS),
     ], ids=["h0=1e170", "h0=1e174", "h0=1e200", "h0=1e300", "h0=1e160", "h0=1.5e-135",
             "h0=1e-140", "h0=1e-150", "h0=1e-300", "h0=1e-320", "span_tau=1e-320",
-            "dt=3e151", "dt=1e154", "dt=1e200", "dt=1.7e308"])
+            "dt=3e151", "dt=1e154", "dt=1e200", "dt=1.7e308",
+            *(f"{key}=1e400-int" for key in _INT_KEYS)])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_model_that_cannot_be_set_up_is_a_config_error(self, tmp_path, capsys, command,
                                                            scenario, override, diag):
@@ -497,6 +506,25 @@ class TestReports:
     def test_run_scenario_rejects_unknown_key(self, tmp_path):
         with pytest.raises(ConfigInvalid, match="bound-check.volume: unknown key"):
             run_scenario("bound-check", {"volume": "12"}, tmp_path)
+
+    def test_one_registration_holds_the_table_the_rule_and_the_run(self, tmp_path):
+        def rule(p):
+            return [] if p["a"] < p["b"] else ["throwaway.a: must lie below b"]
+
+        def run(p, report):
+            report.add_bound("a_below_b", p["a"] - p["b"], 0.0)
+
+        try:
+            _scenario("throwaway", {"a": Param(float, "1"), "b": Param(float, "2")}, rule)(run)
+            assert parse_params("throwaway", {}) == ({"a": 1.0, "b": 2.0}, [])
+            assert parse_params("throwaway", {"a": "3"})[1] == ["throwaway.a: must lie below b"]
+            with pytest.raises(ConfigInvalid, match="^throwaway.a: must lie below b$"):
+                run_scenario("throwaway", {"a": "3"}, tmp_path)
+            report = run_scenario("throwaway", {}, tmp_path)
+        finally:
+            SCENARIOS.pop("throwaway", None)
+        assert report.scenario == "throwaway" and report.all_passed
+        assert report.artifacts == [str(tmp_path / "report.csv")]
 
 
 class TestGoldenVectors:
