@@ -137,6 +137,8 @@ class AlphaProfile:
                 f"alpha(t_now) = {segments[-1].alpha(t_now)}, expected 0"
             )
         for seg in segments:
+            if not seg.s_lo < seg.s_hi:  # NaN fails too
+                raise InvalidBoundaries(f"segment ({seg.s_lo}, {seg.s_hi}] does not run forward")
             if not seg.slope(seg.s_hi) <= 0:  # log kinds fall; linear needs rate >= 0
                 raise InvalidBoundaries("alpha must be nonincreasing in s")
         self.segments = list(segments)

@@ -55,11 +55,10 @@ class AlphaField:
     rows are finite and inside the domain, and ``_point_alpha(x)`` and
     ``_point_gradient(x)`` on one point.
 
-    A single point is checked on Python floats and handed to the one-point
-    hooks as ``x``, a list of 4 finite floats inside the domain. A list of 4
-    Python floats is checked as it is; any other point goes through
-    ``np.asarray(p, dtype=float)`` first, so a list and an array of the same
-    point give the same result or the same error. The hooks return a float
+    A list of 4 Python floats is checked on floats; any other point is checked
+    as a batch row is. Either way the one-point hooks get ``x``, the point as a
+    list of 4 finite floats inside the domain, so a list and an array of the
+    same point give the same result or the same error. The hooks return a float
     equal to row 0 of ``_alpha_rows`` on ``np.array([x])`` and a new float
     array of shape (4,); a hook that needs an array builds its own from ``x``,
     and one without its own gradient returns :meth:`_stencil_gradient`.
@@ -82,7 +81,7 @@ class AlphaField:
         p = np.asarray(p, dtype=float)
         if p.ndim != 1:
             return self._alpha_rows(self._require_inside(p))
-        return self._point_alpha(self._point(p))
+        return self._point_alpha(self._require_inside(_as_point(p))[0].tolist())
 
     def gradient(self, p) -> np.ndarray:
         """(d alpha/dt [1/s], d alpha/dx, d alpha/dy, d alpha/dz [1/m]) at one point."""
@@ -95,7 +94,7 @@ class AlphaField:
         p = np.asarray(p, dtype=float)
         if p.ndim != 1:
             raise ValueError(f"gradient takes one spacetime point of shape (4,), got {p.shape}")
-        return self._point_gradient(self._point(p))
+        return self._point_gradient(self._require_inside(_as_point(p))[0].tolist())
 
     # -- shared helpers ---------------------------------------------------
 
@@ -103,19 +102,6 @@ class AlphaField:
         """Whether the four floats of one point lie in the domain; ``_bounds`` is set."""
         l0, h0, l1, h1, l2, h2, l3, h3 = self._bounds
         return l0 <= t <= h0 and l1 <= x <= h1 and l2 <= y <= h2 and l3 <= z <= h3
-
-    def _point(self, p: np.ndarray) -> list:
-        """The 1-D float array ``p`` as a list of floats, after the checks of
-        :meth:`_require_inside` made on floats; a point that fails them gets
-        :func:`_as_point`'s shape or finiteness error, or the domain error of
-        :meth:`_require_inside`."""
-        x = p.tolist()
-        # a finite sum has no NaN or inf term; a sum that overflows takes the
-        # array checks below, which accept it
-        if not (len(x) == 4 and math.isfinite(x[0] + x[1] + x[2] + x[3])
-                and (self._bounds is None or self._inside(*x))):
-            self._require_inside(_as_point(p))
-        return x
 
     def _require_inside(self, p: np.ndarray) -> np.ndarray:
         """The points of float array ``p`` as finite ``(N, 4)`` rows inside the domain."""

@@ -125,10 +125,12 @@ class Trajectory:
 
 
 def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
-    """Fixed-step RK4 states y[0..n] over cfg.span and the largest accepted
-    drift. ``monitor(y0)`` returns ``drift(y)``; a step whose drift is not
-    <= cfg.norm_check_tol (NaN included) is retried as two half steps, up to
-    _MAX_HALVINGS levels deep, and reports the drift of its last half.
+    """Fixed-step RK4 states y[0..n] and the largest accepted drift, where
+    n = max(1, round(cfg.span / cfg.step)) steps of exactly cfg.step, so y[n]
+    need not sit at cfg.span. ``monitor(y0)`` returns ``drift(y)``; a step
+    whose drift is not <= cfg.norm_check_tol (NaN included) is retried as two
+    half steps, up to _MAX_HALVINGS levels deep, and reports the drift of its
+    last half.
 
     The state is a list of eight floats for both callers, taken by ``rhs``
     and ``drift`` and returned by ``rhs``; the stages are written out per
@@ -185,7 +187,9 @@ def _rk4_path(rhs, y0: np.ndarray, cfg: IntegratorConfig, monitor, what: str):
 
 def integrate_geodesic(field: AlphaField, init: GeodesicState, cfg: IntegratorConfig,
                        c: float) -> Trajectory:
-    """Fixed-step RK4 on (p, u) with a conservation monitor.
+    """Fixed-step RK4 on (p, u) with a conservation monitor: max(1,
+    round(span / step)) steps of exactly ``cfg.step``, so the last tau need
+    not equal ``cfg.span``.
 
     The monitored quantity is e^{3(alpha(p)-alpha(p0))} * eta(u, u), which the
     evolution equation keeps constant (it reduces to the plain eta-norm check
@@ -264,8 +268,10 @@ class CoordinateTrajectory:
 
 def integrate_coordinate(field: AlphaField, p0, v0, particle: ParticleSpec,
                          cfg: IntegratorConfig) -> CoordinateTrajectory:
-    """RK4 on the coordinate-time equations. State is (x_spatial, w) with
-    w = gamma * (c, v); gamma is recovered from w0/c each evaluation."""
+    """RK4 on the coordinate-time equations, max(1, round(span / step))
+    steps of exactly ``cfg.step``, so the last s need not equal ``cfg.span``.
+    State is (x_spatial, w) with w = gamma * (c, v); gamma is recovered from
+    w0/c each evaluation."""
     c = particle.c
     p0 = _as_point(p0)
     v0 = np.asarray(v0, dtype=float)

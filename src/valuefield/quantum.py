@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotNormalized, StepUnstable, require_finite_positive
-from .field import AlphaField
+from .field import AlphaField, _as_point
 
 NORMALIZATION_TOL = 1e-12
 
@@ -46,8 +46,11 @@ class WaveFunction1D:
             raise ValueError("grid and amplitudes must be matching 1-D arrays")
         if not np.all(np.isfinite(self.psi.view(float))):
             raise ValueError("amplitudes must be finite")
+        if self.y.size < 2:
+            raise ValueError(f"grid needs at least 2 points, got {self.y.size}")
+        require_finite_positive("grid spacing", self.dy)
         dy = np.diff(self.y)
-        if dy.size and not np.allclose(dy, dy[0], rtol=1e-9, atol=0.0):
+        if not np.allclose(dy, dy[0], rtol=1e-9, atol=0.0):
             raise ValueError("grid must be uniform")
 
     @property
@@ -221,9 +224,12 @@ def position_expectation(psi: WaveFunction1D, field: AlphaField, x_ref) -> float
     nrm = psi.norm_sq()
     if abs(nrm - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"norm^2 = {nrm!r} differs from 1 beyond {NORMALIZATION_TOL}")
-    points = np.zeros((psi.y.size, 4))
-    points[:, 0], points[:, 1] = psi.t, psi.y
-    weights = np.exp(field.alpha(points))
+    # one field call: x_ref in row 0, then the grid points at the wave function's time
+    points = np.zeros((psi.y.size + 1, 4))
+    points[0] = _as_point(x_ref)
+    points[1:, 0], points[1:, 1] = psi.t, psi.y
+    alpha = field.alpha(points)
+    weights = np.exp(alpha[1:])
     total = float(np.sum(weights * psi.y * psi.probability_density()) * psi.dy)
-    return math.exp(-field.alpha(x_ref)) * total
+    return math.exp(-alpha[0]) * total
 

@@ -391,6 +391,19 @@ class TestBuildProfile:
         with pytest.raises(InvalidBoundaries):
             AlphaProfile([segment], 100.0)
 
+    @pytest.mark.parametrize("bounds", [
+        [(0.0, 5.0), (5.0, 3.0), (3.0, 10.0)],
+        [(10.0, 1.0)],
+        [(float("nan"), 1.0)],
+    ], ids=["backward-middle", "lone-backward", "nan-start"])
+    def test_segment_that_does_not_run_forward_is_rejected(self, bounds):
+        # alpha = t_now - s on every segment: continuous and normalized, so only
+        # the order of each segment's ends is wrong
+        t = bounds[-1][1]
+        segments = [Segment(lo, hi, "linear", s_ref=t, rate=1.0) for lo, hi in bounds]
+        with pytest.raises(InvalidBoundaries, match="does not run forward"):
+            AlphaProfile(segments, t)
+
     def test_increasing_alpha_rejected(self):
         t = 100.0
         rising = Segment(0.0, t, "linear", s_ref=t, alpha_ref=0.0, rate=-1e-3)

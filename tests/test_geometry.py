@@ -148,6 +148,14 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             IntegratorConfig(**kwargs)
 
+    @pytest.mark.parametrize("span, last_tau", [(0.3, 1.0), (2.6, 3.0), (2.4, 2.0)])
+    def test_steps_are_whole_so_the_run_can_end_past_or_short_of_span(self, span, last_tau):
+        # max(1, round(span / step)) steps of exactly step
+        init = GeodesicState(spacetime_point(), np.array([C_DESK, 0, 0, 0]))
+        traj = integrate_geodesic(ConstantField(0.0), init,
+                                  IntegratorConfig(step=1.0, span=span), C_DESK)
+        assert traj.tau[-1] == last_tau
+
 
 class TestParticleSpec:
     @pytest.mark.parametrize("m, c, name", [
@@ -639,6 +647,48 @@ class TestWrittenOutStages:
         want = integrate_coordinate(*args)
         for name in ("s", "p", "v", "gamma"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+class TestFieldTraffic:
+    """The integrators hand the field lists of 4 Python floats, which ``alpha``
+    and ``gradient`` check on floats: no call reaches the array checks."""
+
+    @pytest.fixture
+    def array_checks(self, monkeypatch):
+        calls = []
+        check = AlphaField._require_inside
+
+        def counting(self, p):
+            calls.append(p.shape)
+            return check(self, p)
+
+        monkeypatch.setattr(AlphaField, "_require_inside", counting)
+        ConstantField(0.0).alpha(np.zeros(4))  # an array point counts
+        assert calls == [(4,)]
+        calls.clear()
+        return calls
+
+    def test_default_scenario_geodesic_on_a_constant_field(self, array_checks):
+        c, beta, span, steps = 299792458.0, 0.3, 1e-4, 10000
+        gamma = 1.0 / math.sqrt(1.0 - beta ** 2)
+        init = GeodesicState(spacetime_point(), np.array([gamma * c, gamma * beta * c, 0, 0]))
+        traj = integrate_geodesic(ConstantField(0.4), init,
+                                  IntegratorConfig(step=span / steps, span=span), c)
+        assert len(traj.tau) == steps + 1 and array_checks == []
+
+    def test_geodesic_inside_a_grid_field(self, array_checks):
+        fld = GridField(1e-8 * np.random.default_rng(3).normal(size=(5, 5, 5, 5)),
+                        (-1, -1, -1, -1), (0.5, 0.5, 0.5, 0.5))
+        init = GeodesicState(spacetime_point(), np.array([C_DESK, 0.2, 0, 0]))
+        traj = integrate_geodesic(fld, init, IntegratorConfig(step=0.1, span=0.5), C_DESK)
+        assert len(traj.tau) == 6 and array_checks == []
+
+    def test_coordinate_time_on_an_analytic_field(self, array_checks):
+        cfg = IntegratorConfig(step=0.1, span=1.0)
+        traj = integrate_coordinate(wave_field(), spacetime_point(), np.array([0.5, -0.2, 0.3]),
+                                    ParticleSpec(1.0, C_DESK), cfg)
+        assert len(traj.s) == 11 and array_checks == []
+
 
 class TestEnergyRate:
     def test_flat_field_conserves_energy(self):

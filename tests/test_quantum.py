@@ -61,6 +61,21 @@ class TestWaveFunction:
         with pytest.raises(ValueError):
             WaveFunction1D(y, np.ones(3, dtype=complex))
 
+    @pytest.mark.parametrize("y", [[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [5.0, 5.0],
+                                   [0.0, math.inf], [math.nan, 1.0]],
+                             ids=["decreasing", "zero-3", "zero-2", "inf", "nan"])
+    def test_spacing_that_is_not_finite_and_positive_rejected(self, y):
+        # each would give a norm that is negative, zero, inf or NaN
+        with pytest.raises(ValueError, match="grid spacing must be finite and positive"):
+            WaveFunction1D(np.array(y), np.ones(len(y), dtype=complex))
+
+    @pytest.mark.parametrize("y", [[0.0], []], ids=["one-point", "empty"])
+    def test_grid_of_fewer_than_two_points_rejected(self, y):
+        with pytest.raises(ValueError, match="grid needs at least 2 points"):
+            WaveFunction1D(np.array(y), np.ones(len(y), dtype=complex))
+        with pytest.raises(ValueError, match="grid needs at least 2 points"):
+            gaussian_packet(np.array(y))
+
     def test_non_finite_amplitudes_rejected(self):
         y = np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
@@ -339,6 +354,24 @@ class TestPositionExpectation:
         fld = AnalyticField(lambda p: k * p[1])
         out = position_expectation(psi, fld, spacetime_point(0.0, x_r))
         assert out == pytest.approx(oracle, rel=1e-8)
+
+    def test_one_batched_field_call_gives_the_two_call_value_bit_for_bit(self):
+        class CountingField(AnalyticField):
+            calls = []
+
+            def alpha(self, p):
+                self.calls.append(np.shape(p))
+                return super().alpha(p)
+
+        psi = gaussian_packet(grid(n=256, half_width=10.0), y0=0.5, sigma=0.8)
+        fld, x_ref = CountingField(lambda p: 0.3 * p[1] + 0.1 * p[0]), [0.2, 0.4, 0.0, 0.0]
+        out = position_expectation(psi, fld, x_ref)
+        assert fld.calls == [(257, 4)]  # x_ref in row 0, then the 256 grid points
+        points = np.zeros((256, 4))
+        points[:, 0], points[:, 1] = psi.t, psi.y
+        total = float(np.sum(np.exp(fld.alpha(points)) * psi.y * psi.probability_density())
+                      * psi.dy)
+        assert out == math.exp(-fld.alpha(x_ref)) * total
 
     def test_unnormalized_rejected(self):
         psi = gaussian_packet(grid(), sigma=1.0)
