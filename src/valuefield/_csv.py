@@ -1,18 +1,17 @@
 """The one CSV writer behind every artifact, and with it the one cell format.
 
-Floats (NumPy's included) are written as the shortest text that reads back
-to the same double, booleans as ``true``/``false``; any other cell (int,
-Fraction, str) keeps the csv module's ``str``. Rows are consumed one at a
-time, so a generator never materializes the whole table. A 2-D float64
-array skips the csv module and is formatted column by column, ``_BLOCK``
-rows at a time: a column whose values in the table all have one bit
-pattern (compared as int64, so 0.0 and -0.0 differ) is ``repr``'d once and
-repeated down the block, a run of such adjacent columns as one text, the
-other columns are ``repr``'d value by value, and the columns are joined
-with ``,`` row by row, each row ending with csv's line terminator. csv
-writes a float as its ``repr`` and never quotes one, so the bytes are the
-same. Each block is one ``write``, so the text of a whole table is never
-held at once.
+Booleans are written as ``true``/``false``; every other cell keeps the csv
+module's ``str``, which for a float (NumPy's float64 included) is the
+shortest text that reads back to the same double, ``repr(float(v))``. Rows
+are consumed one at a time, so a generator never materializes the whole
+table. A 2-D float64 array skips the csv module and is formatted column by
+column, ``_BLOCK`` rows at a time: a column whose values in the table all
+have one bit pattern (compared as int64, so 0.0 and -0.0 differ) is
+``repr``'d once and repeated down the block, a run of such adjacent columns
+as one text, the other columns are ``repr``'d value by value, and the
+columns are joined with ``,`` row by row, each row ending with csv's line
+terminator. csv never quotes a float, so the bytes are the same. Each block
+is one ``write``, so the text of a whole table is never held at once.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ _BLOCK = 1024  # rows (or column values) formatted per write, not the whole tabl
 
 
 def _cell(v):
-    if isinstance(v, float):  # bool is not a float, so the order is free; floats dominate
-        return repr(float(v))
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    return v
+    return ("true" if v else "false") if isinstance(v, (bool, np.bool_)) else v
 
 
 def write_csv(target, header, rows) -> None:

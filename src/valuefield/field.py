@@ -157,7 +157,8 @@ class AnalyticField(AlphaField):
         self._grad_fn = grad_fn
 
     def _alpha_rows(self, rows):
-        return np.fromiter(map(self._alpha_fn, rows), float, len(rows))
+        # a copy: a callable that writes its point must not reach the caller's batch
+        return np.fromiter(map(self._alpha_fn, rows.copy()), float, len(rows))
 
     def _point_alpha(self, x):
         a = self._alpha_fn(np.array(x, dtype=float))

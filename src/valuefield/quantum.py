@@ -82,6 +82,7 @@ class WaveFunction1D:
 
 def gaussian_packet(y, y0=0.0, sigma=1.0, k0=0.0) -> WaveFunction1D:
     """Normalized Gaussian wave packet at t = 0: |psi|^2 is N(y0, sigma^2)."""
+    require_finite_positive("sigma", sigma)
     y = np.asarray(y, dtype=float)
     amp = (2 * math.pi * sigma ** 2) ** -0.25
     psi = amp * np.exp(-((y - y0) ** 2) / (4 * sigma ** 2) + 1j * k0 * y)
@@ -111,7 +112,7 @@ class TimeScaling:
 
 
 class _CrankNicolson:
-    """Cached unitary substep for a fixed (grid, Hamiltonian, dt).
+    """Cached unitary substep for a fixed (grid, Hamiltonian, dt); it keeps its ``dt``.
 
     ``apply`` works in the substep's own basis. For the spectral kinetic
     operator that is Fourier space, where the Crank-Nicolson multiplier is
@@ -125,7 +126,7 @@ class _CrankNicolson:
     """
 
     def __init__(self, n: int, dy: float, ham: HamiltonianSpec, dt: float):
-        self.spectral = ham.kind == "spectral"
+        self.spectral, self.dt = ham.kind == "spectral", dt
         lam = dt / 2.0
         if self.spectral:
             k = 2.0 * math.pi * np.fft.fftfreq(n, d=dy)
@@ -173,18 +174,19 @@ def _check_lapack(name: str, info: int) -> None:
 
 
 def schrodinger_step(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,
-                     dt: float, cn: _CrankNicolson) -> WaveFunction1D:
-    """One step of i hbar (d/dt + A(t)) psi = H psi with the substep ``cn``
-    built from ``ham`` and ``dt``, in ``cn``'s basis (Fourier amplitudes for
-    spectral, see :meth:`_CrankNicolson.into`) on the way in and out."""
-    damping = math.exp(-(scaling.alpha(psi.t + dt) - scaling.alpha(psi.t)))
+                     cn: _CrankNicolson) -> WaveFunction1D:
+    """One step of i hbar (d/dt + A(t)) psi = H psi over the ``cn.dt`` that the
+    substep ``cn`` was built for from ``ham``, in ``cn``'s basis (Fourier
+    amplitudes for spectral, see :meth:`_CrankNicolson.into`) on the way in and out."""
+    t = psi.t + cn.dt
+    damping = math.exp(-(scaling.alpha(t) - scaling.alpha(psi.t)))
     out = cn.apply(psi.psi)  # a fresh array on both paths, so it is damped in place
     out *= damping
     # a finite sum has no NaN or inf term; only a sum that is not finite (an
     # overflow of finite terms included) checks each amplitude
     if not (cmath.isfinite(out.sum()) or np.isfinite(out).all()):
         raise StepUnstable("non-finite amplitudes after step")
-    return psi._replaced(out, psi.t + dt)
+    return psi._replaced(out, t)
 
 
 def evolve(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,
@@ -199,17 +201,19 @@ def evolve(psi: WaveFunction1D, ham: HamiltonianSpec, scaling: TimeScaling,
 
     ``observer(step_index, psi)`` is called after every ``every``-th step
     (step_index = every, 2 every, ...), with ``psi`` in position space.
-    ``n_steps == 0`` returns ``psi`` itself.
+    ``n_steps == 0`` returns ``psi`` itself; a negative count raises ``ValueError``.
     """
     require_finite_positive("dt", dt)
     if every < 1:
         raise ValueError(f"every must be a positive step count, got {every!r}")
-    if n_steps <= 0:
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be a step count of 0 or more, got {n_steps!r}")
+    if n_steps == 0:
         return psi
     cn = _CrankNicolson(psi.psi.size, psi.dy, ham, dt)
     state = cn.into(psi)
     for i in range(1, n_steps + 1):
-        state = schrodinger_step(state, ham, scaling, dt, cn)
+        state = schrodinger_step(state, ham, scaling, cn)
         if observer is not None and i % every == 0:
             observer(i, cn.position(state))
     return cn.position(state)
@@ -222,7 +226,7 @@ def position_expectation(psi: WaveFunction1D, field: AlphaField, x_ref) -> float
     discrete expectation when alpha is identically zero.
     """
     nrm = psi.norm_sq()
-    if abs(nrm - 1.0) > NORMALIZATION_TOL:
+    if not abs(nrm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
         raise NotNormalized(f"norm^2 = {nrm!r} differs from 1 beyond {NORMALIZATION_TOL}")
     # one field call: x_ref in row 0, then the grid points at the wave function's time
     points = np.zeros((psi.y.size + 1, 4))

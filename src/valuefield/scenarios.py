@@ -440,7 +440,7 @@ def _cosmology_consistency(p: dict) -> list[str]:
     e^{4 (alpha(s) - alpha(t_now))} in density()."""
     diags = []
     total = p["omega_m"] + p["omega_r"] + p["omega_v"]
-    if abs(total - 1.0) > cos._FLATNESS_TOL:
+    if not abs(total - 1.0) <= cos._FLATNESS_TOL:  # NaN fails too
         diags.append(f"cosmology.omega_m+omega_r+omega_v: flatness violated, "
                      f"sum = {total!r} (needs 1)")
     s_rm, s_de, t_now = _era_seconds(p)  # ordered in seconds, as build_alpha_profile needs

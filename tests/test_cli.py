@@ -10,9 +10,11 @@ import pytest
 
 import valuefield
 from valuefield import cosmology
+from valuefield import scaled_numbers as sn
 from valuefield.cli import DEFAULT_CONFIGS, load_config, main, validate_config
 from valuefield.errors import ConfigInvalid
-from valuefield.scenarios import SCENARIOS, Param, _scenario, parse_params, run_scenario
+from valuefield.scenarios import (SCENARIOS, Param, _cosmology_consistency, _scenario,
+                                  parse_params, run_scenario)
 
 
 def parses_as_float(text):
@@ -50,6 +52,15 @@ class TestValidate:
         cfg = load_config(write_config(tmp_path, "cosmology", {"omega_v": "0.6"}))
         diags = validate_config(cfg)
         assert any("flatness" in d for d in diags)
+
+    @pytest.mark.parametrize("key", ["omega_m", "omega_r", "omega_v"])
+    def test_a_nan_density_fails_the_flatness_check(self, key):
+        # the config parser refuses NaN first; the check itself must fail on it too
+        values, diags = parse_params("cosmology", {})
+        assert diags == []
+        values[key] = math.nan
+        assert _cosmology_consistency(values) == [
+            "cosmology.omega_m+omega_r+omega_v: flatness violated, sum = nan (needs 1)"]
 
     def test_negative_h0(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "cosmology", {"h0_kms_mpc": "-70"}))
@@ -552,6 +563,51 @@ class TestGoldenVectors:
         assert digest == "00f9f19ae102fef59d1bfcdaecef261d78a971e842b5df8243a47dced3e9bf8e"
 
 
+_CASES = 40
+_COUNTERS = ("raw", "compose", "zero", "mul", "div", "add")
+
+
+def _arithmetic_failures(tmp_path):
+    report = run_scenario("arithmetic-check", {"cases": str(_CASES)}, tmp_path)
+    return report, {c.name: c.measured for c in report.checks}
+
+
+def _every_case_fails(failing):
+    return {f"exact_{name}_failures": _CASES if name in failing else 0 for name in _COUNTERS}
+
+
+class TestArithmeticCounters:
+    """Each exact_*_failures counter fires on a broken scaled-number layer."""
+
+    @pytest.mark.parametrize("broken, failing", [
+        (lambda value: 2 * value, {"raw", "compose"}),  # zero stays zero
+        (lambda value: value + 1, {"raw", "compose", "zero"}),
+    ], ids=["doubled", "plus-one"])
+    def test_a_wrong_connection_fails_its_counters(self, tmp_path, monkeypatch, broken, failing):
+        connect = sn.connect_value
+        monkeypatch.setattr(sn, "connect_value", lambda s, t, x: sn.ScaledNumber(
+            broken(connect(s, t, x).value), s))
+        report, counts = _arithmetic_failures(tmp_path)
+        assert not report.all_passed and counts == _every_case_fails(failing)
+
+    @pytest.mark.parametrize("broken, failing", [
+        # add's two sides are equal, so swapping them cannot fail it
+        (lambda transport, combo: (combo, transport), {"mul", "div"}),
+        (lambda transport, combo: (transport, combo + 1), {"mul", "div", "add"}),
+    ], ids=["swapped", "combo-plus-one"])
+    def test_a_wrong_commutation_table_fails_its_counters(self, tmp_path, monkeypatch, broken,
+                                                          failing):
+        table = sn.commutation_table
+
+        def wrong(s, t, op, a, b):
+            transport, combo, ratio = table(s, t, op, a, b)
+            return (*broken(transport, combo), ratio)
+
+        monkeypatch.setattr(sn, "commutation_table", wrong)
+        report, counts = _arithmetic_failures(tmp_path)
+        assert not report.all_passed and counts == _every_case_fails(failing)
+
+
 class TestDemo:
     def test_demo_writes_config_and_report(self, tmp_path, capsys):
         code = main(["demo", "field-calculus", "--out", str(tmp_path)])
@@ -580,4 +636,13 @@ def test_importing_the_cli_loads_no_scipy_solver():
 def test_default_cosmology_run_loads_no_scipy(tmp_path):
     loaded = _loaded_after("from valuefield.cli import main; "
                            f"assert main(['demo', 'cosmology', '--out', {str(tmp_path)!r}]) == 0")
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+
+
+def test_every_default_scenario_runs_without_scipy(tmp_path):
+    # only the fd Crank-Nicolson step imports scipy, and no scenario takes it
+    loaded = _loaded_after(
+        "from valuefield.cli import main; from valuefield.scenarios import SCENARIOS; "
+        f"assert SCENARIOS and all(main(['demo', s, '--out', {str(tmp_path)!r} + '/' + s]) == 0 "
+        "for s in SCENARIOS)")
     assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []

@@ -169,6 +169,11 @@ class TestHubble:
         assert left == -2.0 / (3.0 * s_de)
         assert right == -vacuum_rate(params)
 
+    def test_sides_agree_away_from_a_boundary(self):
+        prof = build_alpha_profile(CosmologyParams(), 50e3 * YEAR_S, 10 * GYR_S)
+        for s in (1e6 * YEAR_S, 5 * GYR_S, 12 * GYR_S):
+            assert prof.slope_sides(s) == (prof.slope(s), prof.slope(s))
+
 
 class TestRedshift:
     def test_equal_times(self):
@@ -190,6 +195,11 @@ class TestRedshift:
         z = redshift(prof, s_emit, s_recv)
         assert 1 + z == pytest.approx(
             scale_factor(prof, s_recv) / scale_factor(prof, s_emit), rel=1e-12)
+
+    def test_reversed_times_give_the_negated_difference(self):
+        prof = build_alpha_profile(CosmologyParams(), 50e3 * YEAR_S, 10 * GYR_S)
+        for early, late in ((2 * GYR_S, 13 * GYR_S), (1e6 * YEAR_S, 11 * GYR_S)):
+            assert prof.alpha_diff(late, early) == -prof.alpha_diff(early, late) != 0.0
 
     def test_linearization_within_half_percent_at_100myr(self):
         params = CosmologyParams()
@@ -404,6 +414,22 @@ class TestBuildProfile:
         with pytest.raises(InvalidBoundaries, match="does not run forward"):
             AlphaProfile(segments, t)
 
+    def test_empty_profile_is_rejected(self):
+        with pytest.raises(InvalidBoundaries, match="^profile needs at least one segment"):
+            AlphaProfile([], 100.0)
+
+    def test_segments_that_do_not_abut_are_rejected(self):
+        t = 100.0
+        segments = [Segment(0.0, 40.0, "linear", s_ref=t, rate=1.0),
+                    Segment(50.0, t, "linear", s_ref=t, rate=1.0)]
+        with pytest.raises(InvalidBoundaries, match="^segments must abut in order"):
+            AlphaProfile(segments, t)
+
+    def test_last_segment_that_does_not_end_at_t_now_is_rejected(self):
+        segment = Segment(0.0, 90.0, "linear", s_ref=90.0, rate=1.0)
+        with pytest.raises(InvalidBoundaries, match="^last segment must end at t_now"):
+            AlphaProfile([segment], 100.0)
+
     def test_increasing_alpha_rejected(self):
         t = 100.0
         rising = Segment(0.0, t, "linear", s_ref=t, alpha_ref=0.0, rate=-1e-3)
@@ -470,6 +496,15 @@ class TestBoundCheck:
         dev, ok = local_bound_check(fld, region, eps=1e-10)
         assert not ok
         assert dev == pytest.approx(1e-9, rel=1e-9)
+
+    @pytest.mark.parametrize("region", [
+        (np.zeros(3), np.ones(3)),
+        (np.zeros(4), np.ones(3)),
+        (np.zeros((2, 4)), np.ones((2, 4))),
+    ], ids=["3-vectors", "hi-3-vector", "2-D"])
+    def test_field_region_that_is_not_a_box_of_4_vectors_is_refused(self, region):
+        with pytest.raises(ValueError, match="^field region must be a"):
+            local_bound_check(AnalyticField(lambda p: 0.0), region)
 
     def test_constant_field(self):
         from valuefield.field import ConstantField

@@ -99,3 +99,32 @@ def test_column_writes_one_repr_per_line_across_blocks():
         fh = io.StringIO()
         write_floats(fh, values[:n, None])
         assert fh.getvalue() == "".join(f"{v!r}\r\n" for v in values[:n].tolist())
+
+
+def _float_cells():
+    """10^4 random float64 bit patterns (NaN payloads of both signs and the
+    infinities can come up) and the edges of float text: signed zeros,
+    subnormals, the smallest normal and largest doubles, quarter steps, and
+    both sides of repr's switch to exponent form at 1e16 and 1e-4."""
+    rng = np.random.default_rng(5)
+    patterns = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=10_000,
+                            dtype=np.int64, endpoint=True).view(np.float64)
+    tiny = sys.float_info.min
+    edges = [0.0, 5e-324, np.nextafter(tiny, 0.0), tiny, sys.float_info.max, np.inf, np.nan,
+             0.1, 1.0 / 3.0, *np.arange(-4.0, 4.0, 0.25)]
+    for switch in (1e16, 1e-4, 1e15, 1e-5):
+        edges += [switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf)]
+    edges = np.array(edges)
+    return np.concatenate([patterns, edges, -edges, rng.normal(size=1000)]).tolist()
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_a_float_cell_is_the_repr_of_its_python_float(kind):
+    # the csv module writes a float cell as its str, which is this repr for
+    # a Python float and a NumPy float64 alike
+    values = _float_cells()
+    fh = io.StringIO()
+    write_csv(fh, ["v", "w"], ([kind(v), kind(-v)] for v in values))
+    lines = fh.getvalue().split("\r\n")
+    assert lines[0] == "v,w" and lines[-1] == ""
+    assert lines[1:-1] == [f"{v!r},{-v!r}" for v in values]

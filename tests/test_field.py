@@ -407,6 +407,31 @@ def test_grid_field_refuses_bad_origin_or_spacing(origin, spacing):
         GridField(np.zeros((2, 2, 2, 2)), origin, spacing)
 
 
+@pytest.mark.parametrize("samples, message", [
+    (np.zeros((2, 2, 2)), "must be a 4-D array"),
+    (np.zeros((2, 2, 2, 2, 1)), "must be a 4-D array"),
+    (np.where(np.arange(16).reshape(2, 2, 2, 2) == 5, np.nan, 0.0), "contain non-finite"),
+    (np.full((2, 2, 2, 2), -np.inf), "contain non-finite"),
+], ids=["3-D", "5-D", "one-nan", "all-inf"])
+def test_grid_field_refuses_samples_that_are_not_4d_or_not_finite(samples, message):
+    with pytest.raises(ValueError, match=f"^grid samples {message}"):
+        GridField(samples, (0, 0, 0, 0), (1, 1, 1, 1))
+
+
+def test_analytic_callable_that_writes_its_point_leaves_the_callers_points_alone():
+    def clobbering(p):
+        value = float(p[0] + p[1])
+        p[1] = 0.0
+        return value
+
+    fld = AnalyticField(clobbering)
+    points = np.arange(12.0).reshape(3, 4)
+    before = points.copy()
+    assert fld.alpha(points).tolist() == [1.0, 9.0, 17.0]
+    assert fld.alpha(points[1]) == 9.0
+    assert np.array_equal(points, before)
+
+
 @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), (2, 5), (2, 2, 4), ()])
 def test_other_input_shapes_raise_value_error(shape):
     fld = AnalyticField(lambda p: p[1])

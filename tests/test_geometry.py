@@ -538,6 +538,14 @@ class TestCoordinateTime:
                                   ParticleSpec(1.0, C_DESK))
         assert out[0] == pytest.approx(-0.5 * a0 * C_DESK ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("v0", [[C_DESK, 0.0, 0.0], [0.0, -1.5 * C_DESK, 0.0],
+                                    [0.8 * C_DESK, 0.0, 0.8 * C_DESK]],
+                             ids=["c", "past-c", "past-c-over-two-axes"])
+    def test_initial_speed_of_c_or_more_is_refused(self, v0):
+        with pytest.raises(ValueError, match="^initial speed must be below c"):
+            integrate_coordinate(ConstantField(0.0), spacetime_point(), np.array(v0),
+                                 ParticleSpec(1.0, C_DESK), IntegratorConfig(step=0.1, span=1.0))
+
     @staticmethod
     def proper_vs_coordinate_gap(a0):
         """Largest |x(t)| gap between the proper-time and coordinate-time

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from valuefield import quantum
-from valuefield.errors import NotNormalized
+from valuefield.errors import NotNormalized, StepUnstable
 from valuefield.field import AnalyticField, ConstantField, spacetime_point
 from valuefield.quantum import (
     HamiltonianSpec,
@@ -55,6 +55,20 @@ class TestWaveFunction:
     def test_gaussian_packet_normalized(self):
         psi = gaussian_packet(grid(), sigma=1.0)
         assert psi.norm_sq() == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_gaussian_width_that_is_not_finite_and_positive_is_refused(self, sigma):
+        # 0 divided by zero, -1 gave the packet of width 1, nan and inf were
+        # refused as amplitudes or as a norm
+        with pytest.raises(ValueError, match="^sigma must be finite and positive"):
+            gaussian_packet(grid(), sigma=sigma)
+
+    @pytest.mark.parametrize("y, psi", [(np.linspace(0.0, 1.0, 4), np.zeros(3)),
+                                        (np.zeros((2, 2)), np.zeros((2, 2)))],
+                             ids=["lengths-differ", "2-D"])
+    def test_grid_and_amplitudes_that_are_not_matching_1d_arrays_rejected(self, y, psi):
+        with pytest.raises(ValueError, match="^grid and amplitudes must be matching 1-D"):
+            WaveFunction1D(y, psi)
 
     def test_nonuniform_grid_rejected(self):
         y = np.array([0.0, 1.0, 2.5])
@@ -119,6 +133,12 @@ class TestTimeScaling:
     def test_requires_something(self):
         with pytest.raises(TypeError):
             TimeScaling()
+
+
+class TestHamiltonianSpec:
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="^kind must be 'spectral' or 'fd'"):
+            HamiltonianSpec("chebyshev")
 
 
 class TestEvolution:
@@ -306,7 +326,7 @@ class TestSubstepBasis:
             damping = math.exp(-(scaling.alpha(state.t + self.DT) - scaling.alpha(state.t)))
             want = damping * cn.apply(state.psi)
             before = state.psi.copy()
-            out = quantum.schrodinger_step(state, ham, scaling, self.DT, cn)
+            out = quantum.schrodinger_step(state, ham, scaling, cn)
             assert np.array_equal(bits(out.psi), bits(want))
             assert np.array_equal(bits(state.psi), bits(before))  # the input is left as it was
             assert out.t == state.t + self.DT and out.y is state.y
@@ -318,13 +338,24 @@ class TestSubstepBasis:
             evolve(self.packet(), HamiltonianSpec(), TimeScaling.constant(0.0), self.DT, 10,
                    every=every)
 
+    def test_negative_step_count_is_refused(self):
+        with pytest.raises(ValueError, match="^n_steps must be a step count of 0 or more"):
+            evolve(self.packet(), HamiltonianSpec(), TimeScaling.constant(0.0), self.DT, -5)
+
+    @pytest.mark.parametrize("kind", ["spectral", "fd"])
+    def test_amplitudes_that_overflow_are_an_unstable_step(self, kind):
+        # a growth of e^{700} per unit step overflows the amplitudes within 3 steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepUnstable, match="^non-finite amplitudes"):
+                evolve(self.packet(), HamiltonianSpec(kind), TimeScaling.constant(-700.0), 1.0, 3)
+
     def test_evolve_calls_the_module_step_once_per_step(self, monkeypatch):
         # a tracer times the Crank-Nicolson steps by wrapping this module
         # attribute, so evolve must go through it on every step
         step, substeps = quantum.schrodinger_step, []
 
         def counting(*args, **kwargs):
-            substeps.append(args[4])
+            substeps.append(args[3])
             return step(*args, **kwargs)
 
         monkeypatch.setattr(quantum, "schrodinger_step", counting)
@@ -378,6 +409,12 @@ class TestPositionExpectation:
         bad = WaveFunction1D(psi.y, 1.5 * psi.psi, psi.t)
         with pytest.raises(NotNormalized):
             position_expectation(bad, ConstantField(0.0), spacetime_point())
+
+    def test_a_norm_that_is_nan_is_not_normalized(self, monkeypatch):
+        psi = gaussian_packet(grid(), sigma=1.0)
+        monkeypatch.setattr(psi, "norm_sq", lambda: math.nan)
+        with pytest.raises(NotNormalized, match=r"^norm\^2 = nan"):
+            position_expectation(psi, ConstantField(0.0), spacetime_point())
 
 
 def effective_energy(rate, hbar, dt=1e17):

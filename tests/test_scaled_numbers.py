@@ -63,6 +63,11 @@ class TestNaturalOp:
         with pytest.raises(NotInBaseSet):
             natural_op(NaturalStructure(4), "add", 4, 6)
 
+    @pytest.mark.parametrize("op", ["sub", "div", "MUL", ""])
+    def test_unknown_op_is_refused(self, op):
+        with pytest.raises(ValueError, match="^op must be 'add' or 'mul'"):
+            natural_op(NaturalStructure(2), op, 4, 6)
+
     def test_valuation_homomorphism_sampled(self):
         # v(m1 + m2) = v(m1) + v(m2) and v(m1 mul m2) = v(m1) v(m2), exactly
         for n in range(1, 101):
