@@ -6,8 +6,12 @@ axioms still hold (multiplication divides by s, division multiplies by s,
 the unit is the raw element s). The connection between structures at scales
 t -> s multiplies values by t/s and leaves the raw element unchanged.
 
-Everything here is exactness-preserving: Fraction in, Fraction out. Floats
-are accepted and simply stay floats.
+Everything here is exactness-preserving: Fraction in, Fraction out. When
+every operand is an int or a Fraction, ``connect_value`` and
+``commutation_table`` build each result as one normalized
+``Fraction(numerator, denominator)`` from integer products; other operands
+(floats, complex, bool, other Rationals) go through the operators as before,
+and floats simply stay floats.
 """
 
 from __future__ import annotations
@@ -43,6 +47,15 @@ def _ratio(num, den):
 
 
 _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _ratio}
+
+# n1/d1 op n2/d2 as an unreduced (numerator, denominator) pair of integer
+# products; Fraction() reduces it once
+_EXACT_OPS = {
+    "add": lambda n1, d1, n2, d2: (n1 * d2 + n2 * d1, d1 * d2),
+    "sub": lambda n1, d1, n2, d2: (n1 * d2 - n2 * d1, d1 * d2),
+    "mul": lambda n1, d1, n2, d2: (n1 * n2, d1 * d2),
+    "div": lambda n1, d1, n2, d2: (n1 * d2, d1 * n2),
+}
 
 
 @dataclass(frozen=True)
@@ -112,8 +125,12 @@ def connect_value(target_s, source_t, x: ScaledNumber) -> ScaledNumber:
     _check_scale(target_s)
     if x.scale != source_t:
         raise MixedScales(f"number has scale {x.scale!r}, expected {source_t!r}")
-    factor = _ratio(source_t, target_s)
-    return ScaledNumber(factor * x.value, target_s)
+    v = x.value
+    if type(source_t) in _EXACT and type(target_s) in _EXACT and type(v) in _EXACT:
+        return ScaledNumber(Fraction(source_t.numerator * target_s.denominator * v.numerator,
+                                     source_t.denominator * target_s.numerator * v.denominator),
+                            target_s)
+    return ScaledNumber(_ratio(source_t, target_s) * v, target_s)
 
 
 def commutation_table(s, t, op: str, a, b):
@@ -129,6 +146,15 @@ def commutation_table(s, t, op: str, a, b):
     _check_scale(t)
     if op not in _BINARY_OPS:
         raise ValueError(f"op must be one of {tuple(_BINARY_OPS)}, got {op!r}")
+    if type(s) in _EXACT and type(t) in _EXACT and type(a) in _EXACT and type(b) in _EXACT:
+        fn = _EXACT_OPS[op]
+        # the factor t/s as fnum / fden, and a, b as integer pairs
+        fnum, fden = t.numerator * s.denominator, t.denominator * s.numerator
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        combo = Fraction(*fn(fnum * an, fden * ad, fnum * bn, fden * bd))
+        n, d = fn(an, ad, bn, bd)
+        transport = Fraction(fnum * n, fden * d)
+        return transport, combo, _ratio(combo, transport)
     fn = _BINARY_OPS[op]
     factor = _ratio(t, s)
     combo = fn(factor * a, factor * b)

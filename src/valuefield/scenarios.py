@@ -341,12 +341,23 @@ def scenario_geodesic(p: dict, report: RunReport) -> None:
 
 def _schrodinger_consistency(p: dict) -> list[str]:
     """The spreading row squares half the free packet's time, steps * dt / 2,
-    as a Python float; the square must not overflow."""
-    half, top = p["steps"] * p["dt"] / 2, math.sqrt(sys.float_info.max)
-    if half * half < math.inf:
+    as a Python float; the square must not overflow.
+
+    The damped norm is e^(-2 a0 t). Summed over the n grid points, |psi|^2 is
+    that norm times n/80, and the damping-law row computes e^(2 a0 t): both
+    stay finite while 2 |a0| steps dt + ln(n) <= ln(max float), a margin of
+    ln 80 on the sum. The first rule that fails is the one reported."""
+    steps, dt, a0 = p["steps"], p["dt"], p["a0"]
+    half, top = steps * dt / 2, math.sqrt(sys.float_info.max)
+    if not half * half < math.inf:
+        return [f"schrodinger.dt: the packet variance 1 + (steps*dt/2)^2 overflows; "
+                f"needs steps*dt/2 <= {top:.6g}, got dt = {dt!r} at steps = {steps}"]
+    top = math.log(sys.float_info.max) - math.log(p["n"])
+    if 2 * abs(a0) * steps * dt <= top:
         return []
-    return [f"schrodinger.dt: the packet variance 1 + (steps*dt/2)^2 overflows; "
-            f"needs steps*dt/2 <= {top:.6g}, got dt = {p['dt']!r} at steps = {p['steps']}"]
+    return [f"schrodinger.a0: the damped norm e^(-2*a0*steps*dt) leaves the float range; "
+            f"needs 2*|a0|*steps*dt <= ln(max float / n) = {top:.6g}, "
+            f"got a0 = {a0!r} at steps*dt = {steps * dt!r}"]
 
 
 @_scenario("schrodinger", {

@@ -265,13 +265,18 @@ class TestExitCodes:
         # the spreading row would square steps * dt / 2 past the float range
         *(("schrodinger", f"schrodinger.dt={dt}", "schrodinger.dt: ")
           for dt in ("3e151", "1e154", "1e200", "1.7e308")),
+        # the damped norm e^(-2 a0 steps dt) would leave the float range: at
+        # a0 = -360 |psi|^2 overflows, at 360 the norm underflows to subnormals,
+        # at dt = 1e6 (a0 = 0.25) it vanishes
+        *(("schrodinger", override, "schrodinger.a0: ")
+          for override in ("schrodinger.a0=-360", "schrodinger.a0=360", "schrodinger.dt=1e6")),
         # an int of 401 digits parses, but no float holds it for the range check
         *((key.split(".")[0], f"{key}=1{'0' * 400}",
            f"{key}: outside the float range, got '1{'0' * 400}'")
           for key in _INT_KEYS),
     ], ids=["h0=1e170", "h0=1e174", "h0=1e200", "h0=1e300", "h0=1e160", "h0=1.5e-135",
             "h0=1e-140", "h0=1e-150", "h0=1e-300", "h0=1e-320", "span_tau=1e-320",
-            "dt=3e151", "dt=1e154", "dt=1e200", "dt=1.7e308",
+            "dt=3e151", "dt=1e154", "dt=1e200", "dt=1.7e308", "a0=-360", "a0=360", "dt=1e6-damped",
             *(f"{key}=1e400-int" for key in _INT_KEYS)])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_model_that_cannot_be_set_up_is_a_config_error(self, tmp_path, capsys, command,
@@ -293,9 +298,17 @@ class TestExitCodes:
         assert len(failed) == 1 and "rhs_linearity_in_gradient: measured inf" in failed[0]
 
     def test_schrodinger_step_whose_spread_squares_to_a_float_validates(self, tmp_path):
-        # steps * dt / 2 = 1.3e154, just under sqrt(max) = 1.34e154
-        cfg = write_config(tmp_path, "schrodinger", {"dt": "2.6e151"})
+        # steps * dt / 2 = 1.3e154, just under sqrt(max) = 1.34e154; a0 = 0, as
+        # any damping over that time leaves the float range
+        cfg = write_config(tmp_path, "schrodinger", {"dt": "2.6e151", "a0": "0"})
         assert main(["validate", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("a0", ["-351", "351"])
+    def test_schrodinger_damping_inside_the_float_range_runs(self, tmp_path, a0):
+        # 2 |a0| steps dt = 702 <= ln(max float / n) = 702.85 at n = 1024; a run
+        # first fails past a0 = -353.62 (|psi|^2 sums to inf) and 354.89 (e^(2 a0 t))
+        cfg = write_config(tmp_path, "schrodinger", {"a0": a0})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_geodesic_subnormal_step_runs(self, tmp_path):
         # span_tau / steps = 1e-314: subnormal, but a step
@@ -331,11 +344,9 @@ class TestExitCodes:
                            if column not in {"name", "pass"}), row
 
     @pytest.mark.parametrize("scenario, override, error", [
-        ("schrodinger", "schrodinger.dt=1e6", "NotNormalized"),  # the damped norm vanishes
         ("geodesic", "geodesic.c=1e-300", "FloatingPointError"),
         ("field-calculus", "field-calculus.sigma=1e-300", "FloatingPointError"),
-    ], ids=["schrodinger-schrodinger.dt=1e6", "geodesic-geodesic.c=1e-300",
-            "field-calculus-field-calculus.sigma=1e-300"])
+    ], ids=["geodesic-geodesic.c=1e-300", "field-calculus-field-calculus.sigma=1e-300"])
     def test_floating_point_error_is_one_line(self, tmp_path, scenario, override, error):
         # a child process, so that NumPy warnings reach stderr as a user sees them
         cfg = write_config(tmp_path, scenario)

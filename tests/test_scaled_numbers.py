@@ -235,3 +235,87 @@ def test_complex_values_scale_by_real_factor():
     x = ScaledNumber(1 + 2j, 2.0)
     out = connect_value(1.0, 2.0, x)
     assert out.value == 2 + 4j
+
+
+# commutation_table and connect_value as operator chains: the path that
+# operands other than int and Fraction take, and the reference for the
+# one-Fraction-per-result path that int and Fraction operands take
+_CHAIN_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _ratio}
+
+
+def _chained_table(s, t, op, a, b):
+    fn = _CHAIN_OPS[op]
+    factor = _ratio(t, s)
+    combo = fn(factor * a, factor * b)
+    transport = factor * fn(a, b)
+    return transport, combo, _ratio(combo, transport)
+
+
+def _chained_connect(s, t, v):
+    return _ratio(t, s) * v
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+exact_scales = st.one_of(st.integers(1, 10 ** 6), positive_fractions)
+exact_operands = st.one_of(st.integers(-10 ** 6, 10 ** 6), any_fractions)
+ops = st.sampled_from(sorted(_CHAIN_OPS))
+
+
+class TestExactPath:
+    @settings(max_examples=400)
+    @given(exact_scales, exact_scales, ops, exact_operands, exact_operands)
+    def test_table_equals_the_operator_chain(self, s, t, op, a, b):
+        expected = _outcome(_chained_table, s, t, op, a, b)
+        got = _outcome(commutation_table, s, t, op, a, b)
+        assert got == expected
+        if got is not ZeroDivisionError:
+            assert [type(x) for x in got] == [F, F, F]
+
+    @settings(max_examples=400)
+    @given(exact_scales, exact_scales, exact_operands)
+    def test_connect_value_equals_the_operator_chain(self, s, t, v):
+        out = connect_value(s, t, ScaledNumber(v, t))
+        assert out.value == _chained_connect(s, t, v) and type(out.value) is F
+        assert out.scale is s
+
+    @pytest.mark.parametrize("s, t, op, a, b", [
+        (F(2), F(3), "div", F(5, 7), F(0)),   # zero divisor
+        (2, 3, "div", -4, 0),
+        (F(2), 3, "add", F(5, 7), F(-5, 7)),  # zero transport: the ratio is 0/0
+        (2, F(3, 4), "sub", 6, 6),
+        (F(2), F(3), "mul", F(0), F(4)),
+        (2.0, 3.0, "div", 1.5, 0.0),
+        (2.0, 3.0, "add", 1.5, -1.5),
+        (F(2), F(3), "sub", True, True),
+        (F(2), F(3), "div", 1 + 2j, 0j),
+    ])
+    def test_zero_divisor_or_transport_raises_on_both_paths(self, s, t, op, a, b):
+        with pytest.raises(ZeroDivisionError):
+            _chained_table(s, t, op, a, b)
+        with pytest.raises(ZeroDivisionError):
+            commutation_table(s, t, op, a, b)
+
+    @settings(max_examples=400)
+    @given(st.one_of(exact_scales, st.floats(1e-3, 1e3), st.just(True)),
+           st.one_of(exact_scales, st.floats(1e-3, 1e3), st.just(True)),
+           ops,
+           st.one_of(exact_operands, st.booleans(), st.floats(-1e3, 1e3),
+                     st.complex_numbers(max_magnitude=1e3)),
+           st.one_of(exact_operands, st.booleans(), st.floats(-1e3, 1e3),
+                     st.complex_numbers(max_magnitude=1e3)))
+    def test_bool_float_and_complex_keep_the_operator_chain(self, s, t, op, a, b):
+        # same bits and types: the operators run as they are
+        assume(not all(type(x) in (int, F) for x in (s, t, a, b)))
+        expected = _outcome(_chained_table, s, t, op, a, b)
+        got = _outcome(commutation_table, s, t, op, a, b)
+        assert repr(got) == repr(expected)
+        if got is not ZeroDivisionError:
+            assert [type(x) for x in got] == [type(x) for x in expected]
+        out, ref = connect_value(s, t, ScaledNumber(a, t)).value, _chained_connect(s, t, a)
+        assert repr(out) == repr(ref) and type(out) is type(ref)
